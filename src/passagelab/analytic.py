@@ -32,7 +32,13 @@ from scipy.interpolate import CubicSpline
 from .errors import ResonanceError, StructuralError
 from .quad import composite_gl, fd_derivative
 from .simulate import ModelParams
-from .weber import WeberContext, log_pcf_d, log_pcf_d_batch, make_context
+from .weber import (
+    LogPcfTable,
+    WeberContext,
+    log_pcf_d,
+    log_pcf_d_batch,
+    make_context,
+)
 
 _LOG_EPS = math.log(1e-12)
 _RESONANCE_FLOOR = math.log(1e-10)
@@ -71,16 +77,25 @@ class HomogeneousBasis:
 
     def log_psi(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.ctx.p(xs) + log_pcf_d_batch(self.ctx.nu_q, self.ctx.z(xs))
+        out = self.log_psi_from(
+            xs, log_pcf_d_batch(self.ctx.nu_q, self.ctx.z(xs)))
         return out if np.ndim(x) else out[0]
 
     def log_chi(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         zs = self.ctx.z(xs)
-        direct = log_pcf_d_batch(self.ctx.nu_q, -zs)
-        mixed = self.log_ratio + log_pcf_d_batch(self.ctx.nu_q, zs)
-        out = self.ctx.p(xs) + np.logaddexp(direct, mixed)
+        out = self.log_chi_from(xs, log_pcf_d_batch(self.ctx.nu_q, zs),
+                                log_pcf_d_batch(self.ctx.nu_q, -zs))
         return out if np.ndim(x) else out[0]
+
+    def log_psi_from(self, xs: np.ndarray, log_d: np.ndarray) -> np.ndarray:
+        """log psi_q at xs, given log D_nu(z(xs))."""
+        return self.ctx.p(xs) + log_d
+
+    def log_chi_from(self, xs: np.ndarray, log_d: np.ndarray,
+                     log_d_neg: np.ndarray) -> np.ndarray:
+        """log chi_q at xs, given log D_nu(z(xs)) and log D_nu(-z(xs))."""
+        return self.ctx.p(xs) + np.logaddexp(log_d_neg, self.log_ratio + log_d)
 
     def psi_q(self, x):
         return np.exp(self.log_psi(x))
@@ -150,12 +165,17 @@ def homogeneous_basis(params: ModelParams, q: float) -> HomogeneousBasis:
 def _log_w0_batch(params: ModelParams, q: float, xs: np.ndarray) -> np.ndarray:
     """log |w0(x)|; w0 itself is negative (the transform decreases in x)."""
     ctx = make_context(params, q)
+    return _log_w0_from(params, ctx, xs, log_pcf_d_batch(ctx.nu_q, ctx.z(xs)))
+
+
+def _log_w0_from(params: ModelParams, ctx: WeberContext, xs: np.ndarray,
+                 log_d: np.ndarray) -> np.ndarray:
+    """log |w0| at xs, given log D_nu(z(xs))."""
     a = params.a
     la = log_pcf_d(ctx.nu_q + 1.0, ctx.z(a))
     pref = math.log(math.sqrt(2.0) * params.lam
                     / (params.sigma * math.sqrt(ctx.b)))
-    return pref + ctx.p(xs) - ctx.p(a) \
-        + log_pcf_d_batch(ctx.nu_q, ctx.z(xs)) - la
+    return pref + ctx.p(xs) - ctx.p(a) + log_d - la
 
 
 def w0_term(params: ModelParams, q: float, x: float) -> float:
@@ -255,17 +275,33 @@ class VolterraGrid:
 
 @dataclass(eq=False)
 class VolterraSolution:
-    """Converged derivative w_q on its grid, plus the seed it started from."""
+    """Converged derivative w_q on its grid, plus the seed it started from.
+
+    delta_history holds the sup-norm change of every Picard iteration;
+    successive ratios are the contraction rate. table_rel_error and
+    table_fit_nodes describe the solve's LogPcfTable fits: the worst
+    certified relative error in D_nu and the quadrature nodes spent on them.
+    """
 
     params: ModelParams
     q: float
     grid: np.ndarray
     w_values: np.ndarray
     w0_values: np.ndarray
-    iterations: int
-    sup_delta: float
+    delta_history: tuple[float, ...]
     converged: bool
     truncation_error: float | None
+    table_rel_error: float
+    table_fit_nodes: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.delta_history)
+
+    @property
+    def sup_delta(self) -> float:
+        """The last iteration's sup-norm change."""
+        return self.delta_history[-1]
 
     def _antiderivative(self):
         cached = getattr(self, "_anti", None)
@@ -302,6 +338,12 @@ def solve_wq(params: ModelParams, q: float,
     re-solving on a domain extended to twice the depth; values inside a
     thin layer at the left edge (about 2 percent of the domain) carry the
     cut-off error of the kernel and are excluded from that estimate.
+
+    The Weber functions on the grids are read from one certified
+    LogPcfTable of D_nu(+z) and one of D_nu(-z) (the latter only for
+    q > 0, where psi and chi are needed), each fitted once per call over
+    the z-range of the widest grid solved; the closed forms and the
+    homogeneous basis constants keep direct quadrature.
     """
     if q < 0.0:
         raise StructuralError(f"q must be nonnegative, got {q!r}")
@@ -309,10 +351,11 @@ def solve_wq(params: ModelParams, q: float,
     x_min = spec.x_min if spec.x_min is not None else _auto_x_min(params, q)
     if not x_min < params.a:
         raise StructuralError("x_min must lie below the barrier")
-    sol = _solve_on(params, q, x_min, spec.n_cells, spec.tol, spec.max_iter)
+    deep = x_min - (params.a - x_min)
+    tables = _WeberTables(params, q, deep if spec.truncation_check else x_min)
+    sol = _solve_on(tables, x_min, spec.n_cells, spec.tol, spec.max_iter)
     if spec.truncation_check:
-        deep = x_min - (params.a - x_min)
-        ref = _solve_on(params, q, deep, 2 * spec.n_cells, spec.tol,
+        ref = _solve_on(tables, deep, 2 * spec.n_cells, spec.tol,
                         spec.max_iter)
         # the cut perturbs the kernel inside a thin layer at x_min (the
         # Green function keeps O(1) diagonal mass there); judge truncation
@@ -324,17 +367,46 @@ def solve_wq(params: ModelParams, q: float,
     return sol
 
 
-def _solve_on(params: ModelParams, q: float, x_min: float, n_cells: int,
+class _WeberTables:
+    """The Weber functions one solve_wq call reads, for x in [x_lo, a].
+
+    Holds the LogPcfTable of D_nu(+z) and, for q > 0, that of D_nu(-z)
+    together with the homogeneous basis; psi, chi and w0 are formed from
+    the table values by the same formulas the closed forms use.
+    """
+
+    def __init__(self, params: ModelParams, q: float, x_lo: float):
+        self.params, self.q = params, q
+        self.ctx = make_context(params, q)
+        z_lo, z_hi = self.ctx.z(params.a), self.ctx.z(x_lo)
+        self.pos = LogPcfTable(self.ctx.nu_q, z_lo, z_hi)
+        fits = [self.pos]
+        self.neg = self.basis = None
+        if q > 0.0:
+            self.neg = LogPcfTable(self.ctx.nu_q, -z_hi, -z_lo)
+            self.basis = homogeneous_basis(params, q)
+            fits.append(self.neg)
+        self.rel_error = max(t.max_rel_error for t in fits)
+        self.fit_nodes = sum(t.fit_nodes for t in fits)
+
+    def log_d(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """log D_nu(z(xs)) and, for q > 0, log D_nu(-z(xs))."""
+        zs = self.ctx.z(xs)
+        return self.pos(zs), None if self.neg is None else self.neg(-zs)
+
+
+def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
               tol: float, max_iter: int) -> VolterraSolution:
+    params, q = tables.params, tables.q
     a = params.a
     xs = np.linspace(x_min, a, n_cells + 1)
-    w0 = -np.exp(_log_w0_batch(params, q, xs))
+    ld_nodes, ld_neg_nodes = tables.log_d(xs)
+    w0 = -np.exp(_log_w0_from(params, tables.ctx, xs, ld_nodes))
     if q == 0.0:
-        return VolterraSolution(params, q, xs, w0.copy(), w0, 1, 0.0, True,
-                                None)
+        return VolterraSolution(params, q, xs, w0.copy(), w0, (0.0,), True,
+                                None, tables.rel_error, tables.fit_nodes)
 
-    basis = homogeneous_basis(params, q)
-    ctx = basis.ctx
+    basis, ctx = tables.basis, tables.ctx
     eta_q = params.eta * q
     sig2 = params.sigma ** 2
 
@@ -343,18 +415,19 @@ def _solve_on(params: ModelParams, q: float, x_min: float, n_cells: int,
     gl_nodes = (mid[:, None] + half[:, None] * _GL3_POINTS[None, :]).ravel()
     gl_logw = np.log(half[:, None] * _GL3_WEIGHTS[None, :]).ravel()
 
-    lpsi_nodes = basis.log_psi(xs)
-    lchi_nodes = basis.log_chi(xs)
+    lpsi_nodes = basis.log_psi_from(xs, ld_nodes)
+    lchi_nodes = basis.log_chi_from(xs, ld_nodes, ld_neg_nodes)
+    ld_gl, ld_neg_gl = tables.log_d(gl_nodes)
     two_p = 2.0 * ctx.p(gl_nodes)
     lker = math.log(2.0 / sig2) - basis.log_wronskian_scale
-    logP = basis.log_psi(gl_nodes) - two_p + lker + gl_logw
-    logQ = basis.log_chi(gl_nodes) - two_p + lker + gl_logw
+    logP = basis.log_psi_from(gl_nodes, ld_gl) - two_p + lker + gl_logw
+    logQ = basis.log_chi_from(gl_nodes, ld_gl, ld_neg_gl) - two_p + lker \
+        + gl_logw
 
     w = w0.copy()
-    sup_delta = math.inf
+    history = []
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         anti = CubicSpline(xs, w).antiderivative()
         tail = np.minimum(anti(a) - anti(gl_nodes), 0.0)  # integral of w, <= 0
         with np.errstate(divide="ignore"):
@@ -369,13 +442,13 @@ def _solve_on(params: ModelParams, q: float, x_min: float, n_cells: int,
         applied = np.exp(np.logaddexp(lchi_nodes + prefix,
                                       lpsi_nodes + suffix))
         w_new = w0 + eta_q * applied
-        sup_delta = float(np.max(np.abs(w_new - w)))
+        history.append(float(np.max(np.abs(w_new - w))))
         w = w_new
-        if sup_delta <= tol:
+        if history[-1] <= tol:
             converged = True
             break
-    return VolterraSolution(params, q, xs, w, w0, iterations, sup_delta,
-                            converged, None)
+    return VolterraSolution(params, q, xs, w, w0, tuple(history), converged,
+                            None, tables.rel_error, tables.fit_nodes)
 
 
 def gq_from_solution(sol: VolterraSolution, x) -> np.ndarray | float:

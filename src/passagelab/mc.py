@@ -128,8 +128,11 @@ def estimate_gq_compensator(params: ModelParams, config: SimConfig, q: float,
 
     Averages the pathwise integral of exp(-q s) lam exp(-eta (a - X_s))
     up to tau: the intensity of crossing jumps seen from just below the
-    barrier. Jumps never enter directly, so this route has lower variance
-    and is biased only by the time discretisation of the integral.
+    barrier. Jumps never enter directly, and the route is biased only by
+    the time discretisation of the integral. It does not reduce variance:
+    at the reference model (4000 paths, seed 7) its standard error was
+    1.86, 1.61 and 1.38 times that of estimate_gq_indicator at q = 0, 0.05
+    and 0.1.
     """
     res = _ensure_result(params, config, result, q_needed=(float(q),))
     samples = res.comp[:, res.q_index(float(q))]

@@ -8,7 +8,9 @@ for nu <= 0 from its real integral representation
     D_nu(z) = exp(-z^2/4) / Gamma(-nu) * I(nu, z),
     I(nu, z) = int_0^inf t^(-nu-1) exp(-z t - t^2/2) dt      (nu < 0)
 
-and packages the gauge bookkeeping into WeberContext.
+and packages the gauge bookkeeping into WeberContext. LogPcfTable replaces
+that quadrature, on one fixed interval of z, by a certified piecewise
+Chebyshev interpolant for callers that need D_nu at very many points.
 
 Everything is computed in log space first: the integrand is factored by its
 peak value, so the returned log is accurate even where exp(p(x)) D_nu(z(x))
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
 from .errors import AccuracyError, UnsupportedRegimeError
 from .quad import _gl_rule
@@ -32,6 +35,16 @@ if TYPE_CHECKING:
 TOL_PCF = 1e-10
 _GL_N = 64
 _MAX_PANELS = 128
+
+# LogPcfTable: certified bound on the relative error in D, fit points per
+# piece and the most pieces a table may split into. Far out in z, direct
+# quadrature rounds log D to within about 2 eps z^2/4 (the size of the
+# Gaussian factor it carries), so no piece's data tolerance is set below
+# _ROUND_ULPS eps z^2/4; that floor passes TABLE_RTOL / 10 beyond |z| = 67.
+TABLE_RTOL = TOL_PCF / 10.0
+_CHEB_N = 24
+_MAX_PIECES = 64
+_ROUND_ULPS = 4.0
 
 
 def _phi(c: float, z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -139,6 +152,115 @@ def pcf_d_pair(nu: float, z: float, rtol: float = TOL_PCF) -> tuple[float, float
         raise UnsupportedRegimeError(
             f"pcf_d_pair needs nu + 1 <= 0, got nu={nu:g}")
     return pcf_d(nu, z, rtol), pcf_d(nu + 1.0, z, rtol)
+
+
+def _cheb_fit_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev points t and the matrix m with coef = f(t) @ m."""
+    t = _cheb.chebpts1(n)
+    m = _cheb.chebvander(t, n - 1) * (2.0 / n)
+    m[:, 0] *= 0.5
+    return t, m
+
+
+class LogPcfTable:
+    """log D_nu on [z_lo, z_hi] from a certified piecewise Chebyshev fit.
+
+    D_nu has no real zeros for nu <= 0, so log D_nu is analytic on the real
+    line and a Chebyshev interpolant converges geometrically on any bounded
+    interval (Trefethen, Approximation Theory and Approximation Practice,
+    ch. 8). The fitted function is g(z) = log D_nu(z) + s z^2/4, with s the
+    sign of the interval's midpoint: the Gaussian factor dominates log D_nu
+    on the side the interval reaches furthest, and taking it out keeps g
+    small, so the fit's absolute error in g, which is the relative error in
+    D, stays near rounding.
+
+    Each piece has a data tolerance: TABLE_RTOL / 10, or the rounding error
+    _ROUND_ULPS eps z^2/4 of log D on the piece where that is larger. The
+    piece interpolates g at _CHEB_N first-kind Chebyshev points, with
+    values from direct quadrature to that tolerance, and is halved until
+    its last two coefficients fall below it. Every piece is then compared
+    with direct quadrature at its second-kind Chebyshev points, which
+    interlace the fit points and include both piece ends. Construction
+    raises AccuracyError instead of returning a table whose relative error
+    in D there exceeds ten data tolerances (TABLE_RTOL wherever rounding
+    allows it); max_rel_error is the worst error seen and fit_nodes counts
+    the quadrature nodes spent, fit and check together. Evaluating outside
+    [z_lo, z_hi] raises AccuracyError.
+    """
+
+    def __init__(self, nu: float, z_lo: float, z_hi: float):
+        if not z_lo < z_hi:
+            raise ValueError(f"need z_lo < z_hi, got [{z_lo:g}, {z_hi:g}]")
+        self.nu, self.z_lo, self.z_hi = float(nu), float(z_lo), float(z_hi)
+        self._gauge = 1.0 if z_lo + z_hi >= 0.0 else -1.0
+        t, m = _cheb_fit_matrix(_CHEB_N)
+        done: list[tuple[float, float, np.ndarray]] = []
+        pending = [(self.z_lo, self.z_hi)]
+        nodes = 0
+        while pending:
+            if len(done) + len(pending) > _MAX_PIECES:
+                raise AccuracyError(
+                    f"log D_{nu:g} table on [{z_lo:g}, {z_hi:g}] needs more "
+                    f"than {_MAX_PIECES} pieces")
+            lo = np.array([p[0] for p in pending])
+            hi = np.array([p[1] for p in pending])
+            zs = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t
+            log_d, tol = self._direct(zs)
+            coef = (log_d + self._gauge * 0.25 * zs * zs) @ m
+            nodes += zs.size
+            ok = np.max(np.abs(coef[:, -2:]), axis=1) <= tol
+            split = []
+            for i in range(len(pending)):
+                if ok[i]:
+                    done.append((lo[i], hi[i], coef[i]))
+                else:
+                    mid = 0.5 * (lo[i] + hi[i])
+                    split += [(lo[i], mid), (mid, hi[i])]
+            pending = split
+        done.sort(key=lambda piece: piece[0])
+        self._breaks = np.array([p[0] for p in done] + [self.z_hi])
+        self._coef = np.array([p[2] for p in done])
+        self.max_rel_error = self._certify()
+        self.fit_nodes = nodes + self._coef.shape[0] * (_CHEB_N + 1)
+
+    def _direct(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log D_nu on each row of zs by quadrature, and each row's tolerance."""
+        tol = np.maximum(TABLE_RTOL / 10.0, _ROUND_ULPS * np.finfo(float).eps
+                         * 0.25 * np.max(zs * zs, axis=1))
+        log_d = [log_pcf_d_batch(self.nu, row, rtol)
+                 for row, rtol in zip(zs, tol)]
+        return np.array(log_d), tol
+
+    def _certify(self) -> float:
+        t2 = _cheb.chebpts2(_CHEB_N + 1)
+        lo, hi = self._breaks[:-1, None], self._breaks[1:, None]
+        zs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t2
+        fit = _cheb.chebval(t2, self._coef.T) - self._gauge * 0.25 * zs * zs
+        direct, tol = self._direct(zs)
+        err = np.max(np.abs(np.expm1(fit - direct)), axis=1)
+        bad = np.flatnonzero(~(err <= 10.0 * tol))
+        if bad.size:
+            k = bad[np.argmax(err[bad] / tol[bad])]
+            raise AccuracyError(
+                f"log D_{self.nu:g} table on [{self.z_lo:g}, {self.z_hi:g}] "
+                f"has relative error {err[k]:.3g} > {10.0 * tol[k]:.3g} off "
+                f"its nodes")
+        return float(np.max(err))
+
+    def __call__(self, z) -> np.ndarray:
+        """Elementwise log D_nu(z); every z must lie in [z_lo, z_hi]."""
+        z = np.asarray(z, dtype=float)
+        if not (np.all(z >= self.z_lo) and np.all(z <= self.z_hi)):
+            raise AccuracyError(
+                f"argument outside the log D_{self.nu:g} table's interval "
+                f"[{self.z_lo:g}, {self.z_hi:g}]")
+        piece = np.searchsorted(self._breaks[1:-1], z, side="right")
+        out = np.empty(z.shape)
+        for k, coef in enumerate(self._coef):
+            sel = piece == k
+            lo, hi = self._breaks[k], self._breaks[k + 1]
+            out[sel] = _cheb.chebval((2.0 * z[sel] - lo - hi) / (hi - lo), coef)
+        return out - self._gauge * 0.25 * z * z
 
 
 @dataclass(frozen=True)

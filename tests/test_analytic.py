@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from passagelab import analytic, weber
 from passagelab.analytic import (
     HomogeneousBasis,
     VolterraGrid,
@@ -27,7 +30,14 @@ from passagelab.analytic import (
 )
 from passagelab.errors import StructuralError
 from passagelab.simulate import ModelParams
-from passagelab.weber import pcf_d
+from passagelab.weber import (
+    TABLE_RTOL,
+    LogPcfTable,
+    log_pcf_d,
+    log_pcf_d_batch,
+    make_context,
+    pcf_d,
+)
 
 REF = ModelParams(alpha=0.1, beta=-0.5, sigma=0.3, lam=1.0, eta=2.0,
                   a=1.0, x=0.0)
@@ -210,6 +220,13 @@ class TestVolterra:
         assert sol05.sup_delta <= 1e-10
         assert sol05.truncation_error <= 1e-9
 
+    def test_records_contraction_and_table_fit(self, sol05):
+        history = np.array(sol05.delta_history)
+        rates = history[1:] / history[:-1]
+        assert np.all(rates < 0.2)
+        assert 0.0 <= sol05.table_rel_error <= TABLE_RTOL
+        assert sol05.table_fit_nodes > 0
+
     def test_undiscounted_derivative_nonpositive(self):
         # at q = 0 the transform is a plain crossing probability, monotone
         # in the start level, and the solver returns the seed unmodified
@@ -302,3 +319,82 @@ class TestSmallQ:
 def test_seed_term_sign_and_consistency():
     assert w0_term(REF, 0.0, 0.3) == g0_prime(REF, 0.3)
     assert w0_term(REF, 0.2, 0.3) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the solver's certified Weber tables
+
+MODELS = st.builds(
+    ModelParams, alpha=st.floats(-0.3, 0.3), beta=st.floats(-2.0, -0.1),
+    sigma=st.floats(0.1, 1.0), lam=st.floats(0.2, 3.0),
+    eta=st.floats(0.5, 5.0), a=st.just(1.0), x=st.just(0.0))
+OFF_NODE = st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)
+REF_FRACS = [0.0, 0.3, 1.0, 0.51, 0.77, 0.999]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(params=MODELS, q=st.floats(0.0, 0.5), fracs=OFF_NODE)
+@example(params=REF, q=0.0, fracs=REF_FRACS)
+@example(params=REF, q=0.01, fracs=REF_FRACS)
+@example(params=REF, q=0.05, fracs=REF_FRACS)
+@example(params=REF, q=0.1, fracs=REF_FRACS)
+@example(params=REF, q=0.5, fracs=REF_FRACS)
+def test_solver_tables_match_direct_quadrature(params, q, fracs):
+    # the z-intervals solve_wq fits by default, those of the truncation
+    # check's deep grid, for D_nu(+z) and D_nu(-z)
+    ctx = make_context(params, q)
+    x_min = analytic._auto_x_min(params, q)
+    z_lo, z_hi = ctx.z(params.a), ctx.z(x_min - (params.a - x_min))
+    for lo, hi in ((z_lo, z_hi), (-z_hi, -z_lo)):
+        table = LogPcfTable(ctx.nu_q, lo, hi)
+        zs = np.clip(lo + np.array(fracs) * (hi - lo), lo, hi)
+        # TABLE_RTOL, or ten times the rounding error of log D far out in z
+        bound = np.maximum(TABLE_RTOL, 10.0 * weber._ROUND_ULPS
+                           * np.finfo(float).eps * 0.25 * zs * zs)
+        direct = [log_pcf_d(ctx.nu_q, z, b / 10.0) for z, b in zip(zs, bound)]
+        assert np.all(np.abs(np.expm1(table(zs) - direct)) <= bound)
+
+
+class _DirectTable:
+    """Stands in for LogPcfTable: every value by direct quadrature."""
+
+    max_rel_error = 0.0
+    fit_nodes = 0
+
+    def __init__(self, nu, z_lo, z_hi):
+        self.nu = nu
+
+    def __call__(self, z):
+        return log_pcf_d_batch(self.nu, z)
+
+
+def _assert_same_solve(monkeypatch, params, q, spec):
+    table_sol = solve_wq(params, q, spec)
+    monkeypatch.setattr(analytic, "LogPcfTable", _DirectTable)
+    direct_sol = solve_wq(params, q, spec)
+    assert table_sol.iterations == direct_sol.iterations
+    assert np.max(np.abs(table_sol.w_values - direct_sol.w_values)) <= 1e-10
+    assert table_sol.truncation_error == pytest.approx(
+        direct_sol.truncation_error, abs=1e-10)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.05])
+def test_table_solve_matches_direct_quadrature_solve(monkeypatch, q):
+    _assert_same_solve(monkeypatch, REF, q, VolterraGrid(n_cells=1024))
+
+
+@pytest.mark.parametrize("params,x_min", [
+    # deep grids reaching z = 124 and z = 671, where the rounding error of
+    # log D is above TABLE_RTOL
+    (ModelParams(alpha=0.1, beta=-0.5, sigma=0.3, lam=1.0, eta=0.5, a=1.0,
+                 x=0.0), None),
+    (REF, -100.0),
+    # nu = -1.125, where direct quadrature at its default tolerance is only
+    # good to about 2e-11
+    (ModelParams(alpha=0.1, beta=-2.0, sigma=1.0, lam=0.2, eta=0.5, a=1.0,
+                 x=0.0), None),
+])
+def test_table_solve_matches_direct_quadrature_far_out(monkeypatch, params,
+                                                       x_min):
+    _assert_same_solve(monkeypatch, params, 0.05,
+                       VolterraGrid(n_cells=512, x_min=x_min))

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from passagelab.errors import UnsupportedRegimeError
+from passagelab import weber
+from passagelab.errors import AccuracyError, UnsupportedRegimeError
 from passagelab.simulate import ModelParams
 from passagelab.weber import (
+    TABLE_RTOL,
+    LogPcfTable,
     log_pcf_d,
     log_pcf_d_batch,
     make_context,
@@ -159,3 +162,99 @@ class TestContext:
                            eta=2.0, a=1.0, x=0.0)
         with pytest.raises(UnsupportedRegimeError):
             make_context(flat, 0.0)
+
+
+class TestLogPcfTable:
+    # the z-interval solve_wq fits at the reference model and q = 0.05 (the
+    # truncation check's deep grid reaches x = -13.5), for D_nu(+z) and
+    # D_nu(-z)
+    NU = -3.1
+    INTERVALS = [(-2.066666666666667, 46.266666666666666),
+                 (-46.266666666666666, 2.066666666666667)]
+
+    @pytest.mark.parametrize("lo,hi", INTERVALS)
+    def test_matches_mpmath_and_certifies(self, lo, hi):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        table = LogPcfTable(self.NU, lo, hi)
+        assert 0.0 <= table.max_rel_error <= TABLE_RTOL
+        assert table.fit_nodes > 0
+        zs = np.concatenate(([lo, hi], np.random.default_rng(5).uniform(lo, hi, 8)))
+        for z, got in zip(zs, table(zs)):
+            want = float(mp.log(mp.pcfd(self.NU, z)))
+            assert math.expm1(got - want) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("lo,hi", INTERVALS)
+    def test_recurrence(self, lo, hi):
+        # DLMF 12.8.1: D_{nu+1}(z) - z D_nu(z) + nu D_{nu-1}(z) = 0, divided
+        # through by D_nu(z) so both ends of the interval stay in range
+        up, mid, down = (LogPcfTable(self.NU + k, lo, hi) for k in (1, 0, -1))
+        zs = np.concatenate(([lo, hi], np.linspace(lo, hi, 41)))
+        r_up = np.exp(up(zs) - mid(zs))
+        r_down = self.NU * np.exp(down(zs) - mid(zs))
+        defect = r_up - zs + r_down
+        scale = np.abs(r_up) + np.abs(zs) + np.abs(r_down)
+        assert np.max(np.abs(defect) / scale) <= 1e-10
+
+    @pytest.mark.parametrize("lo,hi", [(-2.066666666666667, 671.2666666666667),
+                                       (-671.2666666666667, 2.066666666666667)])
+    def test_far_out_certifies_to_rounding(self, lo, hi):
+        # the deep grid of solve_wq at the reference model with x_min = -100:
+        # log D reaches 1.1e5 in size, and its rounding error, about
+        # 2 eps |log D|, is above TABLE_RTOL at the far end
+        table = LogPcfTable(self.NU - 0.1, lo, hi)
+        far = max(-lo, hi)
+        floor = weber._ROUND_ULPS * np.finfo(float).eps * 0.25 * far * far
+        assert TABLE_RTOL < table.max_rel_error <= 10.0 * floor
+        zs = np.linspace(lo, hi, 37)
+        tol = np.maximum(TABLE_RTOL / 10.0, floor)
+        err = np.expm1(table(zs) - log_pcf_d_batch(self.NU - 0.1, zs, tol))
+        assert np.max(np.abs(err)) <= 10.0 * tol
+
+    def test_fits_below_the_default_quadrature_tolerance(self):
+        # at nu = -1.1 direct quadrature at TOL_PCF is only good to about
+        # 2e-11; the table is fitted from values to TABLE_RTOL / 10
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        table = LogPcfTable(-1.1, 0.2, 21.2)
+        assert table.max_rel_error <= TABLE_RTOL
+        for z in (0.2, 3.7, 10.9, 21.2):
+            want = float(mp.log(mp.pcfd(-1.1, z)))
+            assert abs(math.expm1(float(table(z)) - want)) <= TABLE_RTOL
+
+    def test_outside_interval_raises(self):
+        table = LogPcfTable(self.NU, -1.0, 3.0)
+        assert np.isfinite(table(np.array([-1.0, 3.0]))).all()
+        for bad in (-1.0 - 1e-12, 3.0 + 1e-12, math.nan):
+            with pytest.raises(AccuracyError):
+                table(np.array([0.0, bad]))
+        with pytest.raises(ValueError):
+            LogPcfTable(self.NU, 3.0, -1.0)
+
+    def test_noisy_quadrature_is_not_fitted(self, monkeypatch):
+        # 1e-9 relative noise never lets the trailing coefficients settle
+        direct = weber.log_pcf_d_batch
+        monkeypatch.setattr(
+            weber, "log_pcf_d_batch",
+            lambda nu, z, rtol: direct(nu, z, rtol)
+            + 1e-9 * np.sin(1e3 * np.asarray(z)))
+        with pytest.raises(AccuracyError):
+            LogPcfTable(self.NU, -1.0, 3.0)
+
+    def test_error_hidden_from_the_fit_nodes_is_caught(self, monkeypatch):
+        # [-1, 3] is fitted by one piece. A perturbation by T_n, n the
+        # number of fit points, vanishes at every fit node, so the
+        # coefficients and their tail are those of the true function; only
+        # the off-node check sees it, and construction must refuse the fit.
+        n = weber._CHEB_N
+        direct = weber.log_pcf_d_batch
+
+        def aliased(nu, z, rtol):
+            t = (2.0 * np.asarray(z) - 2.0) / 4.0
+            return direct(nu, z, rtol) \
+                + 1e-9 * np.cos(n * np.arccos(np.clip(t, -1, 1)))
+
+        assert LogPcfTable(self.NU, -1.0, 3.0).max_rel_error <= TABLE_RTOL
+        monkeypatch.setattr(weber, "log_pcf_d_batch", aliased)
+        with pytest.raises(AccuracyError, match="off its nodes"):
+            LogPcfTable(self.NU, -1.0, 3.0)
