@@ -18,6 +18,7 @@ from scipy import stats
 from .errors import StructuralError, UnderSampleError
 from .paths import Mode
 from .simulate import (
+    STREAM_VERSION,
     CompoundPoissonSpec,
     CpResult,
     ModelParams,
@@ -93,6 +94,10 @@ def _ensure_result(params: ModelParams, config: SimConfig,
     if result.params != params or result.config != config:
         raise StructuralError(
             "precomputed result was generated under different settings")
+    if result.stream_version != STREAM_VERSION:
+        raise StructuralError(
+            f"precomputed result uses stream version {result.stream_version}, "
+            f"this engine draws version {STREAM_VERSION}")
     for q in q_needed:
         result.q_index(q)
     return result

@@ -6,19 +6,37 @@ with rate eta. The barrier is the constant level a, started from x < a.
 
 Between jump epochs the transition law is Gaussian with exactly known mean
 and variance, so the step size controls only barrier monitoring, not the
-marginal law. Two refinements keep the discretisation bias small:
-
-  * a Brownian-bridge correction supplies the probability that the path
-    crossed inside a step whose endpoints are both below the barrier;
-  * jump epochs are placed exactly (the clock between them is simulated
-    on the step grid, with a final partial step onto the epoch).
+marginal law. Each epoch is walked on a fixed step h = config.step from its
+start, with one partial step (of length in (0, h]) onto the epoch itself,
+so the jump epochs are placed exactly. Because h is fixed, the growth
+weights, mean shifts and discount factors exp(-q h j) of a chunk of steps
+are tables built once per call. A Brownian-bridge correction supplies the
+probability that the path crossed inside a step whose endpoints are both
+below the barrier.
 
 Because jumps are upward and exponential, a crossing is either a creep of
 the diffusion part onto the barrier or a strict jump over it; a jump can
 land exactly on the barrier only with probability zero, and the engine
-never produces that mode. Each path owns a counter-based RNG stream keyed
-by (seed, path index), so results are independent of batching and worker
-count, and re-running any single path reproduces it bit for bit.
+never produces that mode.
+
+Paths are advanced in lockstep groups of at most _GROUP_WIDTH paths, one
+chunk of at most _CHUNK_STEPS steps of each path's current epoch at a time
+(fewer when |beta| h is large, see _StepTables). Path i draws from one
+counter-based Philox stream keyed by (seed, i), in this order:
+
+  * at the start of each epoch, two standard exponentials: the gap to the
+    next jump (divided by lam) and that jump's size (divided by eta);
+  * for each chunk of the epoch, one standard normal per step in step
+    order, the partial step onto the epoch included;
+  * right after them, one uniform per step of the chunk whose bridge
+    probability is nonzero, in step order, up to the chunk's first step
+    that ends at or above the barrier. Steps where the probability
+    underflows to zero draw none.
+
+STREAM_VERSION names this layout and is recorded in every SimResult.
+Every number is a function of (params, config, q, path index) only, so
+results are bitwise identical for any worker count, block size or group
+width, and simulate_crossing replays any member of a batch bit for bit.
 """
 
 from __future__ import annotations
@@ -34,9 +52,14 @@ from .errors import StructuralError
 from .paths import Barrier, CrossingRecord, Jump, Mode, PiecewisePath, Segment, first_passage
 
 _MASK64 = (1 << 64) - 1
+# stream namespaces: diffusion paths, compound Poisson paths
 _NS_AFFINE = 0
 _NS_CP = 1
-# cap on |beta| * dt * chunk so the rescaled-cumsum recursion stays in range
+STREAM_VERSION = 2     # the draw order of a diffusion path's stream
+_BLOCK = 4096          # paths per task handed to a worker
+_GROUP_WIDTH = 64      # paths advanced in lockstep within a block
+_CHUNK_STEPS = 512     # steps per lockstep chunk
+# cap on |beta| * h * chunk so the rescaled-cumsum recursion stays in range
 _LOG_CHUNK = 60.0
 
 MODE_CODES = {0: Mode.CREEP, 1: Mode.JUMP_OVER, 2: Mode.CENSORED}
@@ -99,76 +122,114 @@ class CrossingOutcome:
     compensator_integral: float
 
 
-def _path_rng(seed: int, namespace: int, index: int) -> np.random.Generator:
+def _stream_key(seed: int, namespace: int, index: int) -> np.ndarray:
     if index >= (1 << 48):
         raise StructuralError("path index exceeds the 48-bit stream space")
-    key = np.array([seed & _MASK64, (namespace << 48) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([seed & _MASK64, (namespace << 48) | index], dtype=np.uint64)
 
 
-def ou_exact_step(x, dt: float, noise, params: ModelParams):
+def _path_rng(seed: int, namespace: int, index: int) -> np.random.Generator:
+    """A new generator on the stream of one path; never shared."""
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, namespace, index)))
+
+
+class _Stream:
+    """One reusable generator, re-keyed onto a path's stream per path.
+
+    Setting the Philox state to (key, counter 0, empty buffer) gives the
+    same draws as a new generator on that key, at a quarter of the cost.
+    """
+
+    def __init__(self):
+        self.rng = np.random.Generator(np.random.Philox(0))
+        self._state = self.rng.bit_generator.state
+
+    def rekey(self, seed: int, namespace: int, index: int) -> np.random.Generator:
+        self._state["state"]["key"][:] = _stream_key(seed, namespace, index)
+        self.rng.bit_generator.state = self._state
+        return self.rng
+
+
+def _ou_coeffs(dt, params: ModelParams):
+    """Growth, mean shift and noise sd of one exact step of length dt.
+
+    dt may be an array. The beta = 0 case (pure drift plus Brownian
+    motion) is an explicit branch rather than a limit, so there is no 0/0
+    at that parameter point.
+    """
+    alpha, beta, sigma = params.alpha, params.beta, params.sigma
+    dt = np.asarray(dt, dtype=float)
+    if beta == 0.0:
+        return np.ones_like(dt), alpha * dt, sigma * np.sqrt(dt)
+    bdt = beta * dt
+    return (np.exp(bdt), (alpha / beta) * np.expm1(bdt),
+            sigma * np.sqrt(np.expm1(2.0 * bdt) / (2.0 * beta)))
+
+
+def ou_exact_step(x, dt, noise, params: ModelParams):
     """One exact Gaussian transition of the diffusion part over dt.
 
-    noise is a standard normal draw; accepts arrays for x/noise. The
-    beta = 0 case (pure drift plus Brownian motion) is an explicit branch
-    rather than a limit, so there is no 0/0 at that parameter point.
+    noise is a standard normal draw; accepts arrays for x, dt and noise.
     """
-    if dt <= 0.0:
+    if np.any(np.asarray(dt) <= 0.0):
         raise StructuralError(f"dt must be positive, got {dt!r}")
-    alpha, beta, sigma = params.alpha, params.beta, params.sigma
-    if beta == 0.0:
-        return x + alpha * dt + sigma * math.sqrt(dt) * np.asarray(noise)
-    g = math.exp(beta * dt)
-    mean_shift = (alpha / beta) * math.expm1(beta * dt)
-    sd = sigma * math.sqrt(math.expm1(2.0 * beta * dt) / (2.0 * beta))
-    return np.asarray(x) * g + mean_shift + sd * np.asarray(noise)
+    g, shift, sd = _ou_coeffs(dt, params)
+    return np.asarray(x) * g + shift + sd * np.asarray(noise)
 
 
-def _ou_segment(x0: float, dt: float, xi: np.ndarray,
-                params: ModelParams) -> np.ndarray:
-    """Values after 1..n exact steps of size dt, vectorised along the path.
-
-    Uses the rescaled-cumsum form of the one-step recursion, renormalised
-    in chunks so the exponential weights stay within double range whatever
-    beta * dt * n is.
-    """
-    n = xi.shape[0]
-    alpha, beta, sigma = params.alpha, params.beta, params.sigma
-    if beta == 0.0:
-        return x0 + alpha * dt * np.arange(1, n + 1) \
-            + sigma * math.sqrt(dt) * np.cumsum(xi)
-    bdt = beta * dt
-    em1 = math.expm1(bdt)
-    mean_shift = (alpha / beta) * em1
-    sd = sigma * math.sqrt(math.expm1(2.0 * bdt) / (2.0 * beta))
-    out = np.empty(n)
-    chunk = max(1, int(_LOG_CHUNK / abs(bdt)))
-    pos = 0
-    cur = x0
-    while pos < n:
-        k = min(chunk, n - pos)
-        j = np.arange(1, k + 1)
-        growth = np.exp(bdt * j)
-        weights = np.cumsum(np.exp(-bdt * j) * xi[pos:pos + k])
-        out[pos:pos + k] = growth * cur \
-            + mean_shift * np.expm1(bdt * j) / em1 \
-            + sd * growth * weights
-        cur = out[pos + k - 1]
-        pos += k
-    return out
+def _bridge_prob(y0, y1, sigma: float, dt):
+    return np.exp(-2.0 * y0 * y1 / (sigma * sigma * dt))
 
 
-def bridge_crossing_prob(y0, y1, sigma: float, dt: float):
+def bridge_crossing_prob(y0, y1, sigma: float, dt):
     """P(Brownian bridge from y0 to y1 over dt reaches 0), both ends below.
 
     y0, y1 are gaps to the barrier (negative). Vectorised; the exponent is
-    always <= 0 so the result lies in (0, 1] without clipping.
+    always <= 0 so the result lies in [0, 1] without clipping.
     """
     y0 = np.asarray(y0, dtype=float)
     y1 = np.asarray(y1, dtype=float)
     if np.any(y0 >= 0.0) or np.any(y1 >= 0.0):
         raise StructuralError("bridge endpoints must lie strictly below the barrier")
-    return np.exp(-2.0 * y0 * y1 / (sigma * sigma * dt))
+    return _bridge_prob(y0, y1, sigma, dt)
+
+
+class _StepTables:
+    """Fixed-step tables of one call: the OU recursion and discount factors.
+
+    After j steps of size h from x0 with normals z_1..z_j the diffusion is
+    exp(beta h j) (x0 + sd_h sum_i exp(-beta h i) z_i) + shift_j, with
+    shift_j = (alpha/beta) expm1(beta h j). The width is capped so that
+    |beta| h width <= _LOG_CHUNK keeps every weight within double range.
+    """
+
+    def __init__(self, params: ModelParams, h: float, q_arr: np.ndarray):
+        bh = abs(params.beta) * h
+        self.width = _CHUNK_STEPS if bh == 0.0 else \
+            max(1, min(_CHUNK_STEPS, int(_LOG_CHUNK / bh)))
+        j = np.arange(1, self.width + 1)
+        growth, shift, _ = _ou_coeffs(h * j, params)
+        _, _, sd_h = _ou_coeffs(h, params)
+        self.growth = growth
+        self.shift = shift
+        self.noise_weight = sd_h / growth
+        # exp(-q h j) at the nodes j = 0..width of a chunk
+        self.disc = np.exp(-np.outer(q_arr, h * np.arange(self.width + 1)))
+
+    def walk(self, x0: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
+        """Values after each of the steps z[:, j], row-wise, for any length."""
+        out = np.empty_like(z) if out is None else out
+        cur = x0
+        for lo in range(0, z.shape[1], self.width):
+            v = out[:, lo:lo + self.width]
+            k = v.shape[1]
+            np.multiply(z[:, lo:lo + k], self.noise_weight[:k], out=v)
+            v[:, 0] += cur
+            np.cumsum(v, axis=1, out=v)
+            v *= self.growth[:k]
+            v += self.shift[:k]
+            cur = v[:, -1]
+        return out
 
 
 @dataclass(eq=False)
@@ -183,6 +244,7 @@ class SimResult:
     overshoots: np.ndarray     # nan unless jump_over
     pre_jump_levels: np.ndarray  # barrier level for creep, nan if censored
     comp: np.ndarray           # shape (n_paths, len(q_list))
+    stream_version: int = STREAM_VERSION
 
     @property
     def n(self) -> int:
@@ -195,100 +257,247 @@ class SimResult:
         raise StructuralError(f"q = {q!r} was not simulated; have {self.q_list}")
 
 
-def _simulate_path(params: ModelParams, config: SimConfig,
-                   q_arr: np.ndarray, index: int,
-                   jump_scale: float = 1.0):
-    """One path; returns (mode code, tau, overshoot, pre jump level, comp)."""
-    rng = _path_rng(config.seed, _NS_AFFINE, index)
-    alpha, beta, sigma = params.alpha, params.beta, params.sigma
-    lam, eta, a = params.lam, params.eta, params.a
-    horizon, h = config.horizon, config.step
-    sig2 = sigma * sigma
+class _Group:
+    """Lockstep engine for the paths start..start+count-1 of one block.
 
-    t = 0.0
-    x = params.x
-    comp = np.zeros(q_arr.shape[0])
+    Up to _GROUP_WIDTH slots hold live paths. Each round advances every
+    live slot by one chunk of at most tables.width steps of its current
+    epoch (the last of which may be the partial step onto the epoch), ends
+    the epochs and paths that are done, and refills the empty slots. Every
+    operation on the group's arrays acts on each row alone, so a path's
+    numbers do not depend on which slot it ran in or what ran beside it.
+    """
 
-    def accumulate(nodes_t, nodes_x, upto=None):
-        # trapezoid of exp(-q s) * lam * exp(-eta (a - X_s)) over the nodes;
-        # `upto` replaces the last node by (tau, barrier) for a partial step
-        phi = lam * np.exp(-eta * (a - nodes_x))
-        if upto is not None:
-            nodes_t = np.append(nodes_t, upto)
-            phi = np.append(phi, lam)
-        if nodes_t.shape[0] < 2:
+    def __init__(self, params: ModelParams, config: SimConfig,
+                 q_arr: np.ndarray, start: int, count: int):
+        self.p = params
+        self.cfg = config
+        self.q = q_arr
+        self.start = start
+        self.count = count
+        self.tab = _StepTables(params, config.step, q_arr)
+        slots = min(_GROUP_WIDTH, count)
+        self.streams = [_Stream() for _ in range(slots)]
+        self.row = np.full(slots, -1)     # output row of each slot's path
+        self.next = 0                     # next output row to start
+        self.x = np.zeros(slots)          # value at the chunk start
+        self.t0 = np.zeros(slots)         # epoch start
+        self.t_end = np.zeros(slots)      # epoch end
+        self.jump = np.zeros(slots, dtype=bool)   # epoch ends in a jump
+        self.size = np.zeros(slots)       # that jump's size
+        self.done = np.zeros(slots, dtype=np.int64)   # full steps done
+        self.n_full = np.zeros(slots, dtype=np.int64)  # full steps in epoch
+        self.dt_last = np.zeros(slots)    # the partial step onto the epoch
+        self.comp = np.zeros((slots, q_arr.shape[0]))
+        self.modes = np.empty(count, dtype=np.int8)
+        self.taus = np.empty(count)
+        self.overshoots = np.full(count, np.nan)
+        self.pre = np.empty(count)
+        self.out_comp = np.empty((count, q_arr.shape[0]))
+        self.z = np.zeros((slots, self.tab.width))
+        self.z_rows = list(self.z)
+
+    def run(self):
+        self._fill()
+        while True:
+            live = np.flatnonzero(self.row >= 0)
+            if live.size == 0:
+                break
+            self._chunk(live)
+            self._fill()
+        return (self.start, self.modes, self.taus, self.overshoots, self.pre,
+                self.out_comp)
+
+    def _fill(self):
+        """Start the next paths in the empty slots."""
+        while self.next < self.count:
+            empty = np.flatnonzero(self.row < 0)[:self.count - self.next]
+            if empty.size == 0:
+                return
+            for s in empty:
+                self.streams[s].rekey(self.cfg.seed, _NS_AFFINE,
+                                      self.start + self.next)
+                self.row[s] = self.next
+                self.next += 1
+            self.x[empty] = self.p.x
+            self.comp[empty] = 0.0
+            self._epochs(empty, np.zeros(empty.size))
+
+    def _finish(self, slots, code: int, tau, overshoot=math.nan, pre=math.nan):
+        r = self.row[slots]
+        self.modes[r] = code
+        self.taus[r] = tau
+        self.overshoots[r] = overshoot
+        self.pre[r] = pre
+        self.out_comp[r] = self.comp[slots]
+        self.row[slots] = -1
+
+    def _epochs(self, slots, t0):
+        """Draw the next epoch of each slot, which is at x at time t0."""
+        p, h, horizon = self.p, self.cfg.step, self.cfg.horizon
+        draws = np.empty((slots.size, 2))
+        for row, s in zip(draws, slots.tolist()):
+            self.streams[s].rng.standard_exponential(out=row)
+        t_end = t0 + draws[:, 0] / p.lam
+        jump = t_end < horizon
+        t_end[~jump] = horizon
+        size = draws[:, 1] / p.eta
+        seg = t_end - t0
+        n = np.maximum(1, np.ceil(seg / h)).astype(np.int64)
+        n -= (seg - (n - 1) * h <= 0.0) & (n > 1)
+        self.t0[slots] = t0
+        self.t_end[slots] = t_end
+        self.jump[slots] = jump
+        self.size[slots] = size
+        self.done[slots] = 0
+        self.n_full[slots] = n - 1
+        self.dt_last[slots] = seg - (n - 1) * h
+        empty = seg <= 0.0
+        if empty.any():
+            # an epoch of zero length: the jump comes before any step
+            self._jumps(slots[empty])
+
+    def _jumps(self, slots):
+        """End the epochs of these slots: censor at the horizon, else jump."""
+        a = self.p.a
+        censor = ~self.jump[slots]
+        self._finish(slots[censor], 2, math.inf)
+        slots = slots[~censor]
+        x = self.x[slots]
+        landed = x + self.size[slots]
+        over = landed >= a
+        self._finish(slots[over], 1, self.t_end[slots[over]], landed[over] - a,
+                     x[over])
+        slots = slots[~over]
+        self.x[slots] = landed[~over]
+        self._epochs(slots, self.t_end[slots])
+
+    def _chunk(self, live: np.ndarray):
+        p, h, a = self.p, self.cfg.step, self.p.a
+        tab = self.tab
+        width = tab.width
+        rows = live.shape[0]
+        # steps this chunk; `ends` rows finish the epoch with the partial step
+        left = self.n_full[live] + 1 - self.done[live]
+        k = np.minimum(width, left)
+        ends = k == left
+        z = self.z[:rows]
+        for z_row, s, n in zip(self.z_rows, live.tolist(), k.tolist()):
+            self.streams[s].rng.standard_normal(out=z_row[:n])
+        x0 = self.x[live]
+        t_chunk = self.t0[live] + self.done[live] * h
+        # xs[:, j] is the value at node j of the chunk; node 0 is its start
+        xs = np.empty((rows, width + 1))
+        xs[:, 0] = x0
+        tab.walk(x0, z, out=xs[:, 1:])
+        er = np.flatnonzero(ends)
+        ek = k[er]
+        xs[er, ek] = ou_exact_step(xs[er, ek - 1], self.dt_last[live[er]],
+                                   z[er, ek - 1], p)
+        for i in er[ek < width]:
+            xs[i, k[i] + 1:] = -np.inf     # past the epoch: never near a
+
+        # first step (0-based) whose end is at or above the barrier, else k
+        above = xs[:, 1:] >= a
+        first = above.argmax(axis=1)
+        hit = np.where(above[np.arange(rows), first], first, k)
+        cross = hit.copy()
+        bridged = np.zeros(rows, dtype=bool)
+        if self.cfg.bridge_correction:
+            self._bridge(live, xs, k, ends, hit, cross, bridged)
+        crossed = cross < k
+        # crossing step of each crossed row; its length is h unless partial
+        cr = np.flatnonzero(crossed)
+        cc = cross[cr]
+        dt_c = np.where(ends[cr] & (cc == k[cr] - 1), self.dt_last[live[cr]], h)
+        x_lo, x_hi = xs[cr, cc], xs[cr, cc + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.where(x_hi > x_lo, (a - x_lo) / (x_hi - x_lo), 1.0)
+        theta = np.where(bridged[cr], 0.5, np.clip(theta, 0.0, 1.0))
+        tau = t_chunk[cr] + cc * h + theta * dt_c
+        if self.q.shape[0]:
+            self._compensate(live, xs, k, ends, cross, t_chunk,
+                             (cr, cc, theta * dt_c, tau))
+        self._finish(live[cr], 0, tau, pre=a)
+        # the others move to the chunk end and take the jump at epoch ends
+        go = ~crossed
+        self.x[live[go]] = xs[go, k[go]]
+        self.done[live[go]] += k[go] - ends[go]
+        self._jumps(live[go & ends])
+
+    def _bridge(self, live, xs, k, ends, hit, cross, bridged):
+        """Crossings inside steps with both ends below the barrier.
+
+        Draws one uniform per step before the first hard hit whose bridge
+        probability is nonzero, and lowers `cross` to the first step where
+        the uniform falls below it.
+        """
+        sigma, h, a = self.p.sigma, self.cfg.step, self.p.a
+        # exp(-2 y0 y1 / (sigma^2 dt)) underflows to zero once y0 y1 exceeds
+        # 373 sigma^2 dt, and dt <= h, so a step with a nonzero probability
+        # has an end within 20 sigma sqrt(h) of the barrier
+        near = xs > a - 20.0 * sigma * math.sqrt(h)
+        rr, cc = np.nonzero(near[:, :-1] | near[:, 1:])
+        before = cc < hit[rr]
+        rr, cc = rr[before], cc[before]
+        if rr.size == 0:
             return
-        w = np.exp(-np.outer(q_arr, nodes_t)) * phi
-        dt_arr = np.diff(nodes_t)
-        comp[:] += ((w[:, :-1] + w[:, 1:]) * 0.5 * dt_arr).sum(axis=1)
+        dt = np.where(ends[rr] & (cc == k[rr] - 1), self.dt_last[live[rr]], h)
+        prob = _bridge_prob(xs[rr, cc] - a, xs[rr, cc + 1] - a, sigma, dt)
+        keep = prob > 0.0
+        rr, cc, prob = rr[keep], cc[keep], prob[keep]
+        counts = np.bincount(rr, minlength=live.shape[0])
+        u = np.empty(rr.shape[0])
+        pos = 0
+        drawn = counts > 0
+        for s, m in zip(live[drawn].tolist(), counts[drawn].tolist()):
+            self.streams[s].rng.random(out=u[pos:pos + m])
+            pos += m
+        below = u < prob
+        first_rows, first = np.unique(rr[below], return_index=True)
+        cross[first_rows] = cc[below][first]
+        bridged[first_rows] = True
 
-    while True:
-        gap = rng.exponential(1.0 / lam)
-        t_end = t + gap
-        jump_pending = True
-        if t_end >= horizon:
-            t_end = horizon
-            jump_pending = False
-        seg = t_end - t
-        x_end = x
-        if seg > 0.0:
-            n = max(1, math.ceil(seg / h))
-            dt = seg / n
-            xi = rng.standard_normal(n)
-            uni = rng.random(n) if config.bridge_correction else None
-            xs = _ou_segment(x, dt, xi, params)
-            prev = np.concatenate(([x], xs[:-1]))
-            hit = xs >= a
-            if config.bridge_correction:
-                below = ~hit & (prev < a)
-                p_bridge = np.zeros(n)
-                if below.any():
-                    p_bridge[below] = np.exp(
-                        -2.0 * (prev[below] - a) * (xs[below] - a) / (sig2 * dt))
-                hit = hit | (uni < p_bridge)
-            if hit.any():
-                k = int(np.argmax(hit))
-                if xs[k] >= a:
-                    denom = xs[k] - prev[k]
-                    theta = (a - prev[k]) / denom if denom > 0 else 1.0
-                    theta = min(max(theta, 0.0), 1.0)
-                else:
-                    theta = 0.5
-                tau = t + (k + theta) * dt
-                nodes_t = t + dt * np.arange(k + 1)
-                accumulate(nodes_t, np.concatenate(([x], xs[:k])), upto=tau)
-                return 0, tau, 0.0, a, comp
-            nodes_t = t + dt * np.arange(n + 1)
-            accumulate(nodes_t, np.concatenate(([x], xs)))
-            x_end = xs[-1]
-        t = t_end
-        if not jump_pending:
-            return 2, math.inf, 0.0, math.nan, comp
-        size = rng.exponential(1.0 / eta) * jump_scale
-        landed = x_end + size
-        if landed >= a:
-            return 1, t, landed - a, x_end, comp
-        x = landed
+    def _compensate(self, live, xs, k, ends, cross, t_chunk, crossing):
+        """Add each row's trapezoid of exp(-q s) lam exp(-eta (a - X_s)).
+
+        The trapezoid runs over the chunk's nodes up to the crossing step or
+        the partial step; the crossing step adds its piece onto (tau, lam),
+        the partial step its piece onto the epoch. Each row is summed on its
+        own over the full chunk width, so a path's sum does not depend on
+        the rows beside it.
+        """
+        p, h, q = self.p, self.cfg.step, self.q
+        disc = self.tab.disc
+        ar = np.arange(xs.shape[0])
+        phi = np.minimum(xs, p.a)
+        phi *= p.eta
+        phi += math.log(p.lam) - p.eta * p.a
+        np.exp(phi, out=phi)
+        cr, cc, piece, tau = crossing
+        er = np.flatnonzero(ends & (cross >= k))
+        ek = k[er]
+        tail = phi[er, ek]                  # the value at the epoch
+        last = np.minimum(cross, k - ends)  # last full-step node
+        for i in np.flatnonzero(last < xs.shape[1] - 1):
+            phi[i, last[i] + 1:] = 0.0
+        acc = np.einsum("lj,qj->lq", phi, disc)
+        acc -= 0.5 * (phi[:, 0, None] * disc[:, 0]
+                      + phi[ar, last, None] * disc[:, last].T)
+        acc *= h
+        acc[cr] += 0.5 * piece[:, None] * (
+            phi[cr, cc, None] * disc[:, cc].T
+            + p.lam * np.exp(-np.outer(tau - t_chunk[cr], q)))
+        acc[er] += 0.5 * self.dt_last[live[er], None] * (
+            phi[er, ek - 1, None] * disc[:, ek - 1].T
+            + tail[:, None] * np.exp(-np.outer(self.t_end[live[er]] - t_chunk[er], q)))
+        self.comp[live] += np.exp(-np.outer(t_chunk, q)) * acc
 
 
 def _run_block(params: ModelParams, config: SimConfig, q_list,
-               start: int, count: int, jump_scale: float = 1.0):
-    q_arr = np.asarray(q_list, dtype=float)
-    modes = np.empty(count, dtype=np.int8)
-    taus = np.empty(count)
-    overshoots = np.full(count, np.nan)
-    pre = np.empty(count)
-    comp = np.empty((count, q_arr.shape[0]))
-    for i in range(count):
-        code, tau, osh, pj, c = _simulate_path(
-            params, config, q_arr, start + i, jump_scale)
-        modes[i] = code
-        taus[i] = tau
-        if code == 1:
-            overshoots[i] = osh
-        pre[i] = pj
-        comp[i] = c
-    return start, modes, taus, overshoots, pre, comp
+               start: int, count: int):
+    return _Group(params, config, np.asarray(q_list, dtype=float),
+                  start, count).run()
 
 
 def _worker_count(workers: int | None) -> int:
@@ -302,28 +511,27 @@ def _worker_count(workers: int | None) -> int:
 
 
 def run_paths(params: ModelParams, config: SimConfig,
-              q_list: Sequence[float] = (), workers: int | None = None,
-              jump_scale: float = 1.0) -> SimResult:
+              q_list: Sequence[float] = (), workers: int | None = None
+              ) -> SimResult:
     """Simulate config.n_paths independent paths and stack their summaries.
 
     Every path draws from its own stream keyed by (seed, index), and the
     output arrays are ordered by index, so the result is bitwise identical
-    for any worker count or block size. `workers` defaults to the
-    PASSAGELAB_WORKERS environment variable, else 1.
+    for any worker count, block size or group width. `workers` defaults to
+    the PASSAGELAB_WORKERS environment variable, else 1.
     """
     n = config.n_paths
     q_tuple = tuple(float(q) for q in q_list)
     nw = _worker_count(workers)
-    block = 4096
-    tasks = [(s, min(block, n - s)) for s in range(0, n, block)]
+    tasks = [(s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
     results = []
     if nw == 1 or len(tasks) == 1:
         for s, c in tasks:
-            results.append(_run_block(params, config, q_tuple, s, c, jump_scale))
+            results.append(_run_block(params, config, q_tuple, s, c))
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=nw) as ex:
-            futs = [ex.submit(_run_block, params, config, q_tuple, s, c, jump_scale)
+            futs = [ex.submit(_run_block, params, config, q_tuple, s, c)
                     for s, c in tasks]
             results = [f.result() for f in futs]
     results.sort(key=lambda r: r[0])
@@ -337,11 +545,17 @@ def run_paths(params: ModelParams, config: SimConfig,
 
 def simulate_crossing(params: ModelParams, config: SimConfig, q: float = 0.0,
                       path_index: int = 0) -> CrossingOutcome:
-    """Simulate a single path and summarise its crossing."""
-    code, tau, osh, pj, comp = _simulate_path(
-        params, config, np.array([float(q)]), path_index)
-    return CrossingOutcome(MODE_CODES[code], float(tau), float(osh),
-                           float(pj), float(comp[0]))
+    """Simulate a single path and summarise its crossing.
+
+    Runs the batch engine on a group of one path, so the outcome equals
+    member path_index of a run_paths batch with the same settings.
+    """
+    _, modes, taus, osh, pre, comp = _run_block(
+        params, config, (float(q),), path_index, 1)
+    code = int(modes[0])
+    return CrossingOutcome(MODE_CODES[code], float(taus[0]),
+                           float(osh[0]) if code == 1 else 0.0,
+                           float(pre[0]), float(comp[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +775,9 @@ def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
     comp = np.zeros((n_paths, n_grid))
     lam = spec.intensity
     a = spec.barrier_level
+    stream = _Stream()
     for i in range(n_paths):
-        rng = _path_rng(int(seed), _NS_CP, i)
+        rng = stream.rekey(int(seed), _NS_CP, i)
         times, levels, did_cross = _cp_events(spec, rng, horizon)
         if did_cross:
             tau = times[-1]

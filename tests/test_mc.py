@@ -1,5 +1,6 @@
 """Monte Carlo estimators over precomputed simulation batches."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,11 @@ class TestModeProbs:
         other = SimConfig(horizon=25.0, step=2e-3, seed=315, n_paths=1500)
         with pytest.raises(StructuralError):
             estimate_mode_probs(REF, other, result=batch)
+
+    def test_other_stream_version_rejected(self, batch):
+        old = dataclasses.replace(batch, stream_version=batch.stream_version - 1)
+        with pytest.raises(StructuralError):
+            estimate_mode_probs(REF, CFG, result=old)
 
 
 class TestTransformEstimates:

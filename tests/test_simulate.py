@@ -1,23 +1,28 @@
 """Simulation engine: exact diffusion steps, bridge correction, jump paths."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from passagelab import simulate
 from passagelab.errors import StructuralError
 from passagelab.paths import Mode, first_passage, Barrier
 from passagelab.simulate import (
+    MODE_CODES,
     CompoundPoissonSpec,
     DegenerateJumps,
     ExponentialJumps,
     LatticeJumps,
     ModelParams,
     SimConfig,
+    STREAM_VERSION,
     UniformJumps,
-    _ou_segment,
     _path_rng,
+    _StepTables,
+    _Stream,
     bridge_crossing_prob,
     cp_to_path,
     ou_exact_step,
@@ -95,9 +100,11 @@ class TestExactStep:
         assert vals[2] - vals[1] == pytest.approx(vals[1] - vals[0], rel=1e-12)
 
     def test_segment_matches_stepwise_loop(self):
+        # 1300 steps span three chunks of the table recursion
         rng = np.random.default_rng(5)
-        xi = rng.standard_normal(257)
-        seg = _ou_segment(-0.3, 1e-3, xi, REF)
+        xi = rng.standard_normal(1300)
+        tables = _StepTables(REF, 1e-3, np.array([]))
+        seg = tables.walk(np.array([-0.3]), xi[None, :])[0]
         x = -0.3
         walked = []
         for g in xi:
@@ -109,10 +116,18 @@ class TestExactStep:
         # the rescaled cumulative sum must not overflow over many steps
         params = ModelParams(alpha=0.0, beta=-3.0, sigma=0.5, lam=1.0,
                              eta=2.0, a=10.0, x=0.0)
-        xi = np.zeros(60000)
-        seg = _ou_segment(4.0, 1e-3, xi, params)
+        xi = np.zeros((1, 60000))
+        seg = _StepTables(params, 1e-3, np.array([])).walk(np.array([4.0]), xi)[0]
         assert np.all(np.isfinite(seg))
         assert abs(seg[-1]) < 1e-6  # decayed to the mean level 0
+
+    def test_array_step_lengths(self):
+        dts = np.array([1e-3, 0.5, 2.0])
+        got = ou_exact_step(0.2, dts, 0.7, REF)
+        want = [ou_exact_step(0.2, float(dt), 0.7, REF) for dt in dts]
+        assert np.array_equal(got, want)
+        with pytest.raises(StructuralError):
+            ou_exact_step(0.2, np.array([1e-3, 0.0]), 0.7, REF)
 
 
 def _cn_survival(y0: float, a: float, sigma: float, dt: float,
@@ -215,9 +230,13 @@ class TestEngine:
         creep = res.modes == 0
         assert np.all(res.pre_jump_levels[creep] == REF.a)
 
-    def test_jump_scale_zero_removes_jump_crossings(self):
-        res = run_paths(REF, self.CFG, workers=1, jump_scale=0.0)
+    def test_vanishing_jump_sizes_remove_jump_crossings(self):
+        # mean jump size 1e-12: a jump clears the barrier only from within
+        # about 1e-12 of it, so every crossing is a creep
+        tiny = dataclasses.replace(REF, eta=1e12)
+        res = run_paths(tiny, self.CFG, workers=1)
         assert not np.any(res.modes == 1)
+        assert np.any(res.modes == 0)
 
     def test_single_path_summary(self):
         out = simulate_crossing(REF, self.CFG, q=0.05, path_index=7)
@@ -226,6 +245,77 @@ class TestEngine:
         if out.mode is Mode.JUMP_OVER:
             assert out.overshoot > 0.0
         assert out.compensator_integral >= 0.0
+
+    def test_records_stream_version(self):
+        assert run_paths(REF, dataclasses.replace(self.CFG, n_paths=4)
+                         ).stream_version == STREAM_VERSION == 2
+
+
+_FIELDS = ("modes", "taus", "overshoots", "pre_jump_levels", "comp")
+
+
+def _assert_same(a, b):
+    for name in _FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name),
+                              equal_nan=True), name
+
+
+class TestReplay:
+    """Bitwise equalities that the per-path streams promise."""
+
+    CFG = SimConfig(horizon=10.0, step=2e-3, seed=7, n_paths=1000)
+    Q = (0.0, 0.05)
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return run_paths(REF, self.CFG, q_list=self.Q, workers=1)
+
+    def test_single_path_replays_batch_member(self, batch):
+        picks = np.random.default_rng(17).choice(self.CFG.n_paths, 20,
+                                                 replace=False)
+        for i in picks:
+            out = simulate_crossing(REF, self.CFG, q=0.05, path_index=int(i))
+            assert out.mode is MODE_CODES[int(batch.modes[i])]
+            assert out.tau == batch.taus[i]
+            assert out.compensator_integral == batch.comp[i, 1]
+            if out.mode is Mode.JUMP_OVER:
+                assert out.overshoot == batch.overshoots[i]
+            assert out.pre_jump_level == batch.pre_jump_levels[i] \
+                or math.isnan(batch.pre_jump_levels[i])
+
+    def test_shorter_batch_is_a_prefix(self, batch):
+        short = run_paths(REF, dataclasses.replace(self.CFG, n_paths=300),
+                          q_list=self.Q, workers=1)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(short, name),
+                                  getattr(batch, name)[:300], equal_nan=True)
+
+    @pytest.mark.parametrize("width", [1, 7, 128])
+    def test_group_width_does_not_change_results(self, batch, width,
+                                                 monkeypatch):
+        monkeypatch.setattr(simulate, "_GROUP_WIDTH", width)
+        _assert_same(batch, run_paths(REF, self.CFG, q_list=self.Q, workers=1))
+
+    def test_block_size_does_not_change_results(self, batch, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK", 333)
+        _assert_same(batch, run_paths(REF, self.CFG, q_list=self.Q, workers=2))
+
+    def test_q_list_does_not_change_results(self, batch):
+        alone = run_paths(REF, self.CFG, q_list=(0.05,), workers=1)
+        assert np.array_equal(alone.taus, batch.taus)
+        assert np.array_equal(alone.comp[:, 0], batch.comp[:, 1])
+
+    @pytest.mark.parametrize("beta,bridge", [(0.0, True), (0.8, False)])
+    def test_other_models_replay(self, beta, bridge):
+        params = dataclasses.replace(REF, beta=beta)
+        cfg = SimConfig(horizon=5.0, step=0.05, seed=3, n_paths=40,
+                        bridge_correction=bridge)
+        res = run_paths(params, cfg, q_list=(0.1,), workers=1)
+        assert np.all(np.isin(res.modes, (0, 1, 2)))
+        for i in (0, 13, 39):
+            out = simulate_crossing(params, cfg, q=0.1, path_index=i)
+            assert out.tau == res.taus[i]
+            assert out.compensator_integral == res.comp[i, 0]
 
 
 class TestCompoundPoisson:
@@ -329,3 +419,16 @@ def test_per_path_streams_are_stable_and_distinct():
     assert first != g3.random()
     with pytest.raises(StructuralError):
         _path_rng(11, 1, 1 << 48)
+
+
+def test_rekeyed_stream_matches_a_new_generator():
+    stream = _Stream()
+    for index in (3, 0, 3, (1 << 48) - 1):
+        stream.rng.standard_normal(5)   # leave a used state behind
+        stream.rng.integers(0, 7, size=3, dtype=np.uint32)
+        got = stream.rekey(11, 1, index)
+        want = _path_rng(11, 1, index)
+        assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
+        assert np.array_equal(got.random(4), want.random(4))
+        assert got.integers(0, 7, dtype=np.uint32) \
+            == want.integers(0, 7, dtype=np.uint32)
