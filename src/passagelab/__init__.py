@@ -41,7 +41,6 @@ from .paths import (
 )
 from .simulate import (
     CompoundPoissonSpec,
-    CrossingOutcome,
     DegenerateJumps,
     ExponentialJumps,
     LatticeJumps,
@@ -56,7 +55,7 @@ from .simulate import (
     simulate_compound_poisson,
     simulate_crossing,
 )
-from .weber import WeberContext, log_pcf_d, make_context, pcf_d, pcf_d_pair
+from .weber import WeberContext, log_pcf_d, make_context, pcf_d
 
 __version__ = "0.1.0"
 

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import analytic, mc
 from .paths import (
+    CODE_OF,
     Barrier,
     Jump,
     Mode,
@@ -36,6 +38,7 @@ from .simulate import (
     LatticeJumps,
     ModelParams,
     SimConfig,
+    _MASK64,
     _path_rng,
     run_compound_poisson,
     run_paths,
@@ -43,7 +46,6 @@ from .simulate import (
 from .weber import log_pcf_d, pcf_d
 
 _GOLDEN = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 
 
 def _derive_seed(seed: int, stream: int) -> int:
@@ -164,7 +166,24 @@ class _Shared:
         return self.g0_at_x
 
 
-def _crit_1(shared: _Shared) -> CriterionResult:
+Details = list[tuple[str, str]]
+
+# (number, name, criterion) in report order; a criterion returns
+# (passed, details)
+_CRITERIA: list[tuple[int, str, Callable[[_Shared], tuple[bool, Details]]]] = []
+_BUDGETS: dict[int, float | None] = {}   # wall-clock budget in seconds
+
+
+def _criterion(number: int, name: str, budget: float | None = None):
+    def register(fn):
+        _CRITERIA.append((number, name, fn))
+        _BUDGETS[number] = budget
+        return fn
+    return register
+
+
+@_criterion(1, "cylinder-function oracle", budget=1.0)
+def _crit_1(shared: _Shared) -> tuple[bool, Details]:
     details = []
     worst_erfc = 0.0
     for z in (-5.0, -2.0, 0.0, 1.0, 3.0, 5.0):
@@ -185,11 +204,11 @@ def _crit_1(shared: _Shared) -> CriterionResult:
     passed = worst_erfc <= 1e-8 and worst_deriv <= 1e-6
     details.append(("erfc_max_rel", _fmt(worst_erfc)))
     details.append(("deriv_max_rel", _fmt(worst_deriv)))
-    return CriterionResult(1, "cylinder-function oracle", passed, details,
-                           0.0, 1.0)
+    return passed, details
 
 
-def _crit_2(shared: _Shared) -> CriterionResult:
+@_criterion(2, "basis operator residual", budget=5.0)
+def _crit_2(shared: _Shared) -> tuple[bool, Details]:
     s = shared.s
     worst = {"psi": 0.0, "chi": 0.0}
     worst_robin = 0.0
@@ -207,8 +226,7 @@ def _crit_2(shared: _Shared) -> CriterionResult:
     details = [("psi_max_rel", _fmt(worst["psi"])),
                ("chi_max_rel", _fmt(worst["chi"])),
                ("robin_ratio", _fmt(worst_robin))]
-    return CriterionResult(2, "basis operator residual", passed, details,
-                           0.0, 5.0)
+    return passed, details
 
 
 def _pair_ok(a: float, sa: float, b: float, sb: float) -> tuple[bool, float]:
@@ -217,7 +235,8 @@ def _pair_ok(a: float, sa: float, b: float, sb: float) -> tuple[bool, float]:
     return gap <= 3.0 * se, (gap / se if se > 0 else math.inf)
 
 
-def _crit_3(shared: _Shared) -> CriterionResult:
+@_criterion(3, "undiscounted three-way agreement", budget=120.0)
+def _crit_3(shared: _Shared) -> tuple[bool, Details]:
     s = shared.s
     shared.ensure_runs()
     g0_val = shared.g0_value()
@@ -228,8 +247,9 @@ def _crit_3(shared: _Shared) -> CriterionResult:
     ok_ai, s_ai = _pair_ok(g0_val, 0.0, ind.mean, ind.std_error)
     ok_ac, s_ac = _pair_ok(g0_val, 0.0, comp.mean, comp.std_error)
     ok_ic, s_ic = _pair_ok(ind.mean, ind.std_error, comp.mean, comp.std_error)
-    cens_i = float(np.mean(shared.run_ind.modes == 2))
-    cens_c = float(np.mean(shared.run_comp.modes == 2))
+    censored = CODE_OF[Mode.CENSORED]
+    cens_i = float(np.mean(shared.run_ind.modes == censored))
+    cens_c = float(np.mean(shared.run_comp.modes == censored))
     cens_ok = max(cens_i, cens_c) < 1e-3
     passed = ok_ai and ok_ac and ok_ic and cens_ok
     details = [("analytic", _fmt(g0_val)),
@@ -237,11 +257,11 @@ def _crit_3(shared: _Shared) -> CriterionResult:
                ("compensator", _fmt(comp.mean)), ("compensator_se", _fmt(comp.std_error)),
                ("sigmas", f"{s_ai:.2f}/{s_ac:.2f}/{s_ic:.2f}"),
                ("censored_frac", _fmt(max(cens_i, cens_c)))]
-    return CriterionResult(3, "undiscounted three-way agreement", passed,
-                           details, 0.0, 120.0)
+    return passed, details
 
 
-def _crit_4(shared: _Shared) -> CriterionResult:
+@_criterion(4, "integral-equation collapse at q=0", budget=10.0)
+def _crit_4(shared: _Shared) -> tuple[bool, Details]:
     s = shared.s
     sol = shared.solution(0.0)
     route_a = analytic.gq_from_solution(sol, sol.grid)
@@ -251,11 +271,11 @@ def _crit_4(shared: _Shared) -> CriterionResult:
     details = [("node_max_abs", _fmt(gap)),
                ("nodes", str(sol.grid.shape[0])),
                ("grid_left", _fmt(float(sol.grid[0])))]
-    return CriterionResult(4, "integral-equation collapse at q=0", passed,
-                           details, 0.0, 10.0)
+    return passed, details
 
 
-def _crit_5(shared: _Shared) -> CriterionResult:
+@_criterion(5, "discounted agreement and residuals", budget=300.0)
+def _crit_5(shared: _Shared) -> tuple[bool, Details]:
     s = shared.s
     shared.ensure_runs()
     lam = s.params.lam
@@ -288,11 +308,11 @@ def _crit_5(shared: _Shared) -> CriterionResult:
     details.append(("worst_mc_sigma", f"{worst_sigma:.2f}"))
     details.append(("worst_oide", _fmt(worst_oide)))
     details.append(("worst_compat", _fmt(worst_compat)))
-    return CriterionResult(5, "discounted agreement and residuals", all_ok,
-                           details, 0.0, 300.0)
+    return all_ok, details
 
 
-def _crit_6(shared: _Shared) -> CriterionResult:
+@_criterion(6, "overshoot law")
+def _crit_6(shared: _Shared) -> tuple[bool, Details]:
     s = shared.s
     shared.ensure_runs()
     test = mc.overshoot_law_test(s.params, shared.run_ind.config,
@@ -303,10 +323,11 @@ def _crit_6(shared: _Shared) -> CriterionResult:
                ("ks_p", _fmt(test.p_value)),
                ("corr", _fmt(test.level_correlation)),
                ("corr_bound", _fmt(corr_bound))]
-    return CriterionResult(6, "overshoot law", passed, details, 0.0, None)
+    return passed, details
 
 
-def _crit_7(shared: _Shared) -> CriterionResult:
+@_criterion(7, "small-discount expansion")
+def _crit_7(shared: _Shared) -> tuple[bool, Details]:
     s = shared.s
     shared.ensure_runs()
     g0_val = shared.g0_value()
@@ -330,11 +351,11 @@ def _crit_7(shared: _Shared) -> CriterionResult:
     all_ok = all_ok and remainder <= bound
     details.append(("remainder", _fmt(remainder)))
     details.append(("remainder_bound", _fmt(bound)))
-    return CriterionResult(7, "small-discount expansion", all_ok, details,
-                           0.0, None)
+    return all_ok, details
 
 
-def _crit_8(shared: _Shared) -> CriterionResult:
+@_criterion(8, "barrier-slope asymptotics")
+def _crit_8(shared: _Shared) -> tuple[bool, Details]:
     s = shared.s
     slope = analytic.boundary_slope(s.params)
     ratios = {}
@@ -347,8 +368,7 @@ def _crit_8(shared: _Shared) -> CriterionResult:
                ("ratio_coarse", _fmt(ratios[1e-2])),
                ("ratio_fine", _fmt(ratios[1e-3])),
                ("rel_fine", _fmt(rel_fine))]
-    return CriterionResult(8, "barrier-slope asymptotics", passed, details,
-                           0.0, None)
+    return passed, details
 
 
 def random_compliant_path(rng: np.random.Generator,
@@ -405,7 +425,8 @@ def random_violating_path(rng: np.random.Generator,
     return PiecewisePath(segs, jumps, horizon)
 
 
-def _crit_9(shared: _Shared) -> CriterionResult:
+@_criterion(9, "path corpus and announcing forecasts")
+def _crit_9(shared: _Shared) -> tuple[bool, Details]:
     zero = Barrier.constant(0.0)
     results = {}
     p_touch = load_corpus("touch_and_jump")
@@ -440,11 +461,11 @@ def _crit_9(shared: _Shared) -> CriterionResult:
 
     passed = all(results.values())
     details = [(k, "ok" if v else "FAIL") for k, v in results.items()]
-    return CriterionResult(9, "path corpus and announcing forecasts", passed,
-                           details, 0.0, None)
+    return passed, details
 
 
-def _crit_10(shared: _Shared) -> CriterionResult:
+@_criterion(10, "compound Poisson modes and martingale")
+def _crit_10(shared: _Shared) -> tuple[bool, Details]:
     s = shared.s
     lat_spec = CompoundPoissonSpec(intensity=1.0,
                                    jump_law=LatticeJumps((1.0, 2.0), (0.5, 0.5)),
@@ -463,7 +484,7 @@ def _crit_10(shared: _Shared) -> CriterionResult:
     exp_res = run_compound_poisson(exp_spec, s.cp_n_paths,
                                    _derive_seed(s.seed, 4), s.cp_horizon,
                                    grid=grid)
-    exact_hits = int((exp_res.modes == 3).sum())
+    exact_hits = int((exp_res.modes == CODE_OF[Mode.JUMP_HIT]).sum())
     check = mc.compensator_martingale_check(exp_spec, grid, s.cp_n_paths, 0,
                                             horizon=s.cp_horizon,
                                             result=exp_res)
@@ -474,11 +495,11 @@ def _crit_10(shared: _Shared) -> CriterionResult:
                ("diffuse_exact_hits", str(exact_hits)),
                ("martingale_worst_sigma", f"{check.worst_sigma:.2f}"),
                ("martingale_max_dev", _fmt(check.max_abs_deviation))]
-    return CriterionResult(10, "compound Poisson modes and martingale",
-                           passed, details, 0.0, None)
+    return passed, details
 
 
-def _crit_11(shared: _Shared) -> CriterionResult:
+@_criterion(11, "determinism across workers")
+def _crit_11(shared: _Shared) -> tuple[bool, Details]:
     s = shared.s
     probe_cfg = SimConfig(horizon=10.0, step=1e-3,
                           seed=_derive_seed(s.seed, 5), n_paths=8192)
@@ -494,23 +515,7 @@ def _crit_11(shared: _Shared) -> CriterionResult:
     details = [("engine_bitwise_identical", "yes" if engine_same else "NO"),
                ("probe_paths", str(probe_cfg.n_paths)),
                ("note", "report-identity-needs-two-verify-runs")]
-    return CriterionResult(11, "determinism across workers", engine_same,
-                           details, 0.0, None)
-
-
-_CRITERIA = [
-    (1, "cylinder-function oracle", _crit_1),
-    (2, "basis operator residual", _crit_2),
-    (3, "undiscounted three-way agreement", _crit_3),
-    (4, "integral-equation collapse at q=0", _crit_4),
-    (5, "discounted agreement and residuals", _crit_5),
-    (6, "overshoot law", _crit_6),
-    (7, "small-discount expansion", _crit_7),
-    (8, "barrier-slope asymptotics", _crit_8),
-    (9, "path corpus and announcing forecasts", _crit_9),
-    (10, "compound Poisson modes and martingale", _crit_10),
-    (11, "determinism across workers", _crit_11),
-]
+    return engine_same, details
 
 
 def run_acceptance(settings: AcceptanceSettings | None = None,
@@ -529,7 +534,9 @@ def run_acceptance(settings: AcceptanceSettings | None = None,
     for number, name, fn in _CRITERIA:
         t0 = time.perf_counter()
         try:
-            result = fn(shared)
+            passed, details = fn(shared)
+            result = CriterionResult(number, name, passed, details, 0.0,
+                                     _BUDGETS[number])
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"
             result = CriterionResult(number, name, False,

@@ -236,19 +236,6 @@ def boundary_slope(params: ModelParams) -> float:
     return -g0_prime(params, params.a)
 
 
-def green_kernel(basis: HomogeneousBasis, x: float, y: float) -> float:
-    """Green function of the gauge operator with decay at -inf and Robin at a."""
-    a = basis.params.a
-    if not (x <= a and y <= a):
-        raise StructuralError("kernel arguments must lie at or below the barrier")
-    lo, hi = (x, y) if x <= y else (y, x)
-    sig2 = basis.params.sigma ** 2
-    log_val = math.log(2.0 / sig2) \
-        + float(basis.log_psi(lo)) + float(basis.log_chi(hi)) \
-        - (basis.log_wronskian_scale + 2.0 * basis.ctx.p(y))
-    return -math.exp(log_val)
-
-
 # ---------------------------------------------------------------------------
 # the Volterra fixed point for q > 0
 
@@ -570,16 +557,3 @@ def ode3_residual(params: ModelParams, q: float, g: Callable, x: float,
     drift = alpha + beta * x
     return 0.5 * sig2 * d3 + (drift - 0.5 * eta * sig2) * d2 \
         + (beta - eta * drift - lam - q) * d1 + eta * q * float(g(x))
-
-
-def small_q_slope(params: ModelParams, x: float, q: float,
-                  grid: VolterraGrid | None = None) -> float:
-    """(g0(x) - G_q(x)) / q: the discount sensitivity of the jump route.
-
-    Bounded between 0 and the expected crossing time restricted to jump
-    crossings; tends to that restricted mean as q decreases to 0.
-    """
-    if not q > 0.0:
-        raise StructuralError("q must be positive for the slope quotient")
-    sol = solve_wq(params, q, grid)
-    return (g0(params, x) - gq_from_solution(sol, float(x))) / q

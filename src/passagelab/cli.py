@@ -25,11 +25,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import analytic
-from .acceptance import AcceptanceSettings, run_acceptance
+from .acceptance import AcceptanceSettings, _fmt, run_acceptance
 from .errors import ConvergenceError, NumericalError, StructuralError
 from .paths import (
     EPS_MODE,
@@ -46,36 +46,34 @@ from . import mc
 
 _ENV_WORKERS = "PASSAGELAB_WORKERS"
 
-# Documented defaults; the config file and --set may only touch keys
+
+def _ini(value) -> str:
+    """A default value as the config file spells it."""
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _section(obj, names=None) -> dict[str, str]:
+    names = names or [f.name for f in fields(obj)]
+    return {name: _ini(getattr(obj, name)) for name in names}
+
+
+# Defaults: the acceptance suite's reference configuration and the
+# solver's default grid. The config file and --set may only touch keys
 # listed here, which turns typos into usage errors instead of silently
 # ignored settings.
+_REF = AcceptanceSettings()
 _DEFAULTS = {
-    "model": {
-        "alpha": "0.1", "beta": "-0.5", "sigma": "0.3", "lam": "1.0",
-        "eta": "2.0", "a": "1.0", "x": "0.0",
-    },
-    "sim": {
-        "horizon": "50.0", "step": "1e-3", "seed": "20260819",
-        "bridge_correction": "true", "n_paths": "100000",
-    },
-    "solver": {
-        "n_cells": "16384", "x_min": "auto", "tol": "1e-10",
-        "max_iter": "100", "truncation_check": "true",
-    },
-    "run": {
-        "q_list": "0.05", "x_list": "", "workers": "auto",
-    },
-    "verify": {
-        "q_sweep": "0.01 0.05 0.1", "cp_n_paths": "100000",
-        "cp_horizon": "8.0",
-    },
+    "model": _section(_REF.params),
+    "sim": _section(SimConfig(horizon=_REF.horizon, step=_REF.step,
+                              seed=_REF.seed, n_paths=_REF.n_paths)),
+    "solver": _section(analytic.VolterraGrid()),
+    "run": {"q_list": "0.05", "x_list": "", "workers": "auto"},
+    "verify": _section(_REF, ("q_sweep", "cp_n_paths", "cp_horizon")),
 }
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
 
 
 class _UsageError(Exception):

@@ -1,10 +1,12 @@
 """Estimators connecting simulated crossings to the closed-form transforms.
 
-All estimators accept a precomputed batch (SimResult / CpResult) so that
-several quantities can share one simulation; passing None simulates
-internally with the given params and config. Standard errors are sample
-standard deviations of the per-path contributions divided by sqrt(n), so
-"within k standard errors" statements compose across independent runs.
+The diffusion estimators read a precomputed SimResult, so that several
+quantities share one simulation; the params and config they are given
+must be the ones it was simulated under. The compound Poisson estimators
+take a CpResult, or simulate one from (n_paths, seed, horizon) when given
+None. Standard errors are sample standard deviations of the per-path
+contributions divided by sqrt(n), so "within k standard errors" statements
+compose across independent runs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import StructuralError, UnderSampleError
-from .paths import Mode
+from .paths import CODE_OF, Mode
 from .simulate import (
     STREAM_VERSION,
     CompoundPoissonSpec,
@@ -25,11 +27,7 @@ from .simulate import (
     SimConfig,
     SimResult,
     run_compound_poisson,
-    run_paths,
 )
-
-# engine codes in SimResult.modes
-_CREEP, _JUMP_OVER, _CENSORED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -86,11 +84,8 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return mean, sd / math.sqrt(n)
 
 
-def _ensure_result(params: ModelParams, config: SimConfig,
-                   result: SimResult | None,
-                   q_needed: tuple[float, ...] = ()) -> SimResult:
-    if result is None:
-        return run_paths(params, config, q_list=q_needed)
+def _checked(params: ModelParams, config: SimConfig,
+             result: SimResult) -> SimResult:
     if result.params != params or result.config != config:
         raise StructuralError(
             "precomputed result was generated under different settings")
@@ -98,29 +93,30 @@ def _ensure_result(params: ModelParams, config: SimConfig,
         raise StructuralError(
             f"precomputed result uses stream version {result.stream_version}, "
             f"this engine draws version {STREAM_VERSION}")
-    for q in q_needed:
-        result.q_index(q)
     return result
 
 
-def estimate_mode_probs(params: ModelParams, config: SimConfig,
-                        result: SimResult | None = None) -> dict[Mode, McEstimate]:
-    """Sample frequencies of creep / jump_over / censored with binomial SEs."""
-    res = _ensure_result(params, config, result)
+def _mode_probs(modes: np.ndarray, order: tuple[Mode, ...]
+                ) -> dict[Mode, McEstimate]:
     out = {}
-    for code, mode in ((_CREEP, Mode.CREEP), (_JUMP_OVER, Mode.JUMP_OVER),
-                       (_CENSORED, Mode.CENSORED)):
-        hits = (res.modes == code).astype(float)
-        mean, se = _mean_se(hits)
-        out[mode] = McEstimate(mean, se, res.n)
+    for mode in order:
+        mean, se = _mean_se((modes == CODE_OF[mode]).astype(float))
+        out[mode] = McEstimate(mean, se, modes.shape[0])
     return out
 
 
+def estimate_mode_probs(params: ModelParams, config: SimConfig,
+                        result: SimResult) -> dict[Mode, McEstimate]:
+    """Sample frequencies of creep / jump_over / censored with binomial SEs."""
+    res = _checked(params, config, result)
+    return _mode_probs(res.modes, (Mode.CREEP, Mode.JUMP_OVER, Mode.CENSORED))
+
+
 def estimate_gq_indicator(params: ModelParams, config: SimConfig, q: float,
-                          result: SimResult | None = None) -> McEstimate:
+                          result: SimResult) -> McEstimate:
     """E[exp(-q tau); crossing by a jump], straight from the indicators."""
-    res = _ensure_result(params, config, result)
-    over = res.modes == _JUMP_OVER
+    res = _checked(params, config, result)
+    over = res.modes == CODE_OF[Mode.JUMP_OVER]
     samples = np.where(over, np.exp(-q * np.where(over, res.taus, 0.0)), 0.0)
     mean, se = _mean_se(samples)
     return McEstimate(mean, se, res.n,
@@ -128,7 +124,7 @@ def estimate_gq_indicator(params: ModelParams, config: SimConfig, q: float,
 
 
 def estimate_gq_compensator(params: ModelParams, config: SimConfig, q: float,
-                            result: SimResult | None = None) -> McEstimate:
+                            result: SimResult) -> McEstimate:
     """Same transform via the projected jump-intensity integral.
 
     Averages the pathwise integral of exp(-q s) lam exp(-eta (a - X_s))
@@ -139,28 +135,28 @@ def estimate_gq_compensator(params: ModelParams, config: SimConfig, q: float,
     1.86, 1.61 and 1.38 times that of estimate_gq_indicator at q = 0, 0.05
     and 0.1.
     """
-    res = _ensure_result(params, config, result, q_needed=(float(q),))
+    res = _checked(params, config, result)
     samples = res.comp[:, res.q_index(float(q))]
     mean, se = _mean_se(samples)
-    censored = int((res.modes == _CENSORED).sum())
+    censored = int((res.modes == CODE_OF[Mode.CENSORED]).sum())
     return McEstimate(mean, se, res.n, {"censored_count": censored})
 
 
 def estimate_hq_fq(params: ModelParams, config: SimConfig, q: float,
-                   result: SimResult | None = None) -> tuple[McEstimate, McEstimate]:
+                   result: SimResult) -> tuple[McEstimate, McEstimate]:
     """(H, F): transform over all crossings, and its creep-only part."""
-    res = _ensure_result(params, config, result)
-    crossed = res.modes != _CENSORED
+    res = _checked(params, config, result)
+    crossed = res.modes != CODE_OF[Mode.CENSORED]
     disc = np.where(crossed, np.exp(-q * np.where(crossed, res.taus, 0.0)), 0.0)
     h_mean, h_se = _mean_se(disc)
-    creep_only = np.where(res.modes == _CREEP, disc, 0.0)
+    creep_only = np.where(res.modes == CODE_OF[Mode.CREEP], disc, 0.0)
     f_mean, f_se = _mean_se(creep_only)
     n = res.n
     return (McEstimate(h_mean, h_se, n), McEstimate(f_mean, f_se, n))
 
 
 def overshoot_law_test(params: ModelParams, config: SimConfig,
-                       result: SimResult | None = None,
+                       result: SimResult,
                        min_samples: int = 1000) -> OvershootTest:
     """KS test of the overshoot against its predicted exponential law.
 
@@ -169,8 +165,8 @@ def overshoot_law_test(params: ModelParams, config: SimConfig,
     in truth. Raises UnderSampleError when fewer than min_samples paths
     crossed by a jump.
     """
-    res = _ensure_result(params, config, result)
-    over = res.modes == _JUMP_OVER
+    res = _checked(params, config, result)
+    over = res.modes == CODE_OF[Mode.JUMP_OVER]
     n = int(over.sum())
     if n < min_samples:
         raise UnderSampleError(
@@ -185,11 +181,11 @@ def overshoot_law_test(params: ModelParams, config: SimConfig,
 
 
 def estimate_overshoot_moments(params: ModelParams, config: SimConfig,
-                               result: SimResult | None = None
+                               result: SimResult
                                ) -> tuple[McEstimate, McEstimate]:
     """MC moments E[tau; jump crossing] and E[tau^2; jump crossing]."""
-    res = _ensure_result(params, config, result)
-    over = res.modes == _JUMP_OVER
+    res = _checked(params, config, result)
+    over = res.modes == CODE_OF[Mode.JUMP_OVER]
     tau_contrib = np.where(over, res.taus, 0.0)
     m1, se1 = _mean_se(tau_contrib)
     m2, se2 = _mean_se(tau_contrib ** 2)
@@ -207,13 +203,7 @@ def estimate_cp_mode_probs(spec: CompoundPoissonSpec, n_paths: int, seed: int,
     """Frequencies of exact hits, strict overshoots, and censored paths."""
     res = result if result is not None else run_compound_poisson(
         spec, n_paths, seed, horizon)
-    out = {}
-    for code, mode in ((3, Mode.JUMP_HIT), (1, Mode.JUMP_OVER),
-                       (2, Mode.CENSORED)):
-        hits = (res.modes == code).astype(float)
-        mean, se = _mean_se(hits)
-        out[mode] = McEstimate(mean, se, res.n)
-    return out
+    return _mode_probs(res.modes, (Mode.JUMP_HIT, Mode.JUMP_OVER, Mode.CENSORED))
 
 
 def compensator_martingale_check(spec: CompoundPoissonSpec, times,

@@ -43,6 +43,12 @@ class Mode(Enum):
     CENSORED = "censored"
 
 
+# int8 codes of the modes in the simulation engines' batch arrays, and the
+# inverse lookup the engines and estimators write and compare with
+MODE_CODES = {0: Mode.CREEP, 1: Mode.JUMP_OVER, 2: Mode.CENSORED,
+              3: Mode.JUMP_HIT}
+CODE_OF = {mode: code for code, mode in MODE_CODES.items()}
+
 # crossings reached by touching the barrier from the left, vs across a gap
 CONTACT_MODES = frozenset({Mode.CREEP, Mode.TOUCH_JUMP})
 GAP_MODES = frozenset({Mode.JUMP_HIT, Mode.JUMP_OVER})

@@ -52,24 +52,6 @@ def composite_gl(f, a: float, b: float, rtol: float = 1e-12, atol: float = 0.0,
         f"(last estimate {prev!r})")
 
 
-def signed_log_sum(signs, logs) -> tuple[float, float]:
-    """Combine terms s_k * exp(l_k) in log space.
-
-    Returns (sign, log_abs) of the sum. sign is 0.0 when the sum is exactly 0.
-    """
-    signs = np.asarray(signs, dtype=float)
-    logs = np.asarray(logs, dtype=float)
-    keep = logs > -np.inf
-    if not np.any(keep):
-        return 0.0, -np.inf
-    signs, logs = signs[keep], logs[keep]
-    m = float(np.max(logs))
-    acc = float(np.sum(signs * np.exp(logs - m)))
-    if acc == 0.0:
-        return 0.0, -np.inf
-    return float(np.sign(acc)), m + float(np.log(abs(acc)))
-
-
 # Central stencils of 4th order; one-sided of 4th order for boundary points.
 _C1_CENTRAL = (np.array([-2, -1, 1, 2]), np.array([1 / 12, -8 / 12, 8 / 12, -1 / 12]))
 _C2_CENTRAL = (np.array([-2, -1, 0, 1, 2]),
@@ -90,7 +72,7 @@ def _apply_stencil(f, x, h, offsets, coeffs, power):
 
 
 def fd_derivative(f, x: float, order: int = 1, h: float | None = None,
-                  side: str = "central", richardson: bool = False) -> float:
+                  side: str = "central") -> float:
     """Finite-difference derivative of a scalar callable.
 
     order 1, 2 or 3 centrally; orders 1 and 2 one-sided ("left": points at
@@ -107,9 +89,4 @@ def fd_derivative(f, x: float, order: int = 1, h: float | None = None,
     if order not in table:
         raise ValueError(f"order {order} unsupported for side {side!r}")
     offsets, coeffs = table[order]
-    d = _apply_stencil(f, x, h, offsets, coeffs, order)
-    if richardson:
-        d_half = _apply_stencil(f, x, h / 2, offsets, coeffs, order)
-        # both stencils are 4th order accurate
-        d = (16.0 * d_half - d) / 15.0
-    return d
+    return _apply_stencil(f, x, h, offsets, coeffs, order)

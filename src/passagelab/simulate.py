@@ -42,14 +42,23 @@ width, and simulate_crossing replays any member of a batch bit for bit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import StructuralError
-from .paths import Barrier, CrossingRecord, Jump, Mode, PiecewisePath, Segment, first_passage
+from .paths import (
+    CODE_OF,
+    MODE_CODES,
+    Barrier,
+    CrossingRecord,
+    Jump,
+    Mode,
+    PiecewisePath,
+    Segment,
+    first_passage,
+)
 
 _MASK64 = (1 << 64) - 1
 # stream namespaces: diffusion paths, compound Poisson paths
@@ -61,8 +70,6 @@ _GROUP_WIDTH = 64      # paths advanced in lockstep within a block
 _CHUNK_STEPS = 512     # steps per lockstep chunk
 # cap on |beta| * h * chunk so the rescaled-cumsum recursion stays in range
 _LOG_CHUNK = 60.0
-
-MODE_CODES = {0: Mode.CREEP, 1: Mode.JUMP_OVER, 2: Mode.CENSORED}
 
 
 @dataclass(frozen=True)
@@ -109,17 +116,6 @@ class SimConfig:
             raise StructuralError("n_paths must be >= 1")
         if not (0 <= int(self.seed) <= _MASK64):
             raise StructuralError("seed must fit in 64 bits")
-
-
-@dataclass(frozen=True)
-class CrossingOutcome:
-    """One simulated path, summarised at its crossing (or censoring) time."""
-
-    mode: Mode
-    tau: float
-    overshoot: float
-    pre_jump_level: float
-    compensator_integral: float
 
 
 def _stream_key(seed: int, namespace: int, index: int) -> np.ndarray:
@@ -201,18 +197,27 @@ class _StepTables:
     exp(beta h j) (x0 + sd_h sum_i exp(-beta h i) z_i) + shift_j, with
     shift_j = (alpha/beta) expm1(beta h j). The width is capped so that
     |beta| h width <= _LOG_CHUNK keeps every weight within double range.
+    A table of width 1 takes one exact step per column instead, because
+    exp(-beta h) itself leaves double range once |beta| h exceeds about 709.
+    A step whose own noise sd overflows is rejected.
     """
 
     def __init__(self, params: ModelParams, h: float, q_arr: np.ndarray):
         bh = abs(params.beta) * h
         self.width = _CHUNK_STEPS if bh == 0.0 else \
             max(1, min(_CHUNK_STEPS, int(_LOG_CHUNK / bh)))
-        j = np.arange(1, self.width + 1)
-        growth, shift, _ = _ou_coeffs(h * j, params)
-        _, _, sd_h = _ou_coeffs(h, params)
-        self.growth = growth
-        self.shift = shift
-        self.noise_weight = sd_h / growth
+        self.params = params
+        self.h = h
+        with np.errstate(over="ignore"):
+            _, _, sd_h = _ou_coeffs(h, params)
+        if not np.isfinite(sd_h):
+            raise StructuralError(
+                f"step {h!r} is too long for beta = {params.beta!r}: "
+                "one exact step overflows")
+        if self.width > 1:
+            j = np.arange(1, self.width + 1)
+            self.growth, self.shift, _ = _ou_coeffs(h * j, params)
+            self.noise_weight = sd_h / self.growth
         # exp(-q h j) at the nodes j = 0..width of a chunk
         self.disc = np.exp(-np.outer(q_arr, h * np.arange(self.width + 1)))
 
@@ -220,6 +225,10 @@ class _StepTables:
         """Values after each of the steps z[:, j], row-wise, for any length."""
         out = np.empty_like(z) if out is None else out
         cur = x0
+        if self.width == 1:
+            for j in range(z.shape[1]):
+                cur = out[:, j] = ou_exact_step(cur, self.h, z[:, j], self.params)
+            return out
         for lo in range(0, z.shape[1], self.width):
             v = out[:, lo:lo + self.width]
             k = v.shape[1]
@@ -239,7 +248,7 @@ class SimResult:
     params: ModelParams
     config: SimConfig
     q_list: tuple[float, ...]
-    modes: np.ndarray          # int8 codes, see MODE_CODES
+    modes: np.ndarray          # int8 codes, see paths.MODE_CODES
     taus: np.ndarray
     overshoots: np.ndarray     # nan unless jump_over
     pre_jump_levels: np.ndarray  # barrier level for creep, nan if censored
@@ -323,9 +332,9 @@ class _Group:
             self.comp[empty] = 0.0
             self._epochs(empty, np.zeros(empty.size))
 
-    def _finish(self, slots, code: int, tau, overshoot=math.nan, pre=math.nan):
+    def _finish(self, slots, mode: Mode, tau, overshoot=math.nan, pre=math.nan):
         r = self.row[slots]
-        self.modes[r] = code
+        self.modes[r] = CODE_OF[mode]
         self.taus[r] = tau
         self.overshoots[r] = overshoot
         self.pre[r] = pre
@@ -361,13 +370,13 @@ class _Group:
         """End the epochs of these slots: censor at the horizon, else jump."""
         a = self.p.a
         censor = ~self.jump[slots]
-        self._finish(slots[censor], 2, math.inf)
+        self._finish(slots[censor], Mode.CENSORED, math.inf)
         slots = slots[~censor]
         x = self.x[slots]
         landed = x + self.size[slots]
         over = landed >= a
-        self._finish(slots[over], 1, self.t_end[slots[over]], landed[over] - a,
-                     x[over])
+        self._finish(slots[over], Mode.JUMP_OVER, self.t_end[slots[over]],
+                     landed[over] - a, x[over])
         slots = slots[~over]
         self.x[slots] = landed[~over]
         self._epochs(slots, self.t_end[slots])
@@ -418,7 +427,7 @@ class _Group:
         if self.q.shape[0]:
             self._compensate(live, xs, k, ends, cross, t_chunk,
                              (cr, cc, theta * dt_c, tau))
-        self._finish(live[cr], 0, tau, pre=a)
+        self._finish(live[cr], Mode.CREEP, tau, pre=a)
         # the others move to the chunk end and take the jump at epoch ends
         go = ~crossed
         self.x[live[go]] = xs[go, k[go]]
@@ -500,16 +509,6 @@ def _run_block(params: ModelParams, config: SimConfig, q_list,
                   start, count).run()
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("PASSAGELAB_WORKERS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def run_paths(params: ModelParams, config: SimConfig,
               q_list: Sequence[float] = (), workers: int | None = None
               ) -> SimResult:
@@ -517,12 +516,12 @@ def run_paths(params: ModelParams, config: SimConfig,
 
     Every path draws from its own stream keyed by (seed, index), and the
     output arrays are ordered by index, so the result is bitwise identical
-    for any worker count, block size or group width. `workers` defaults to
-    the PASSAGELAB_WORKERS environment variable, else 1.
+    for any worker count, block size or group width. `workers` of None
+    runs serially.
     """
     n = config.n_paths
     q_tuple = tuple(float(q) for q in q_list)
-    nw = _worker_count(workers)
+    nw = max(1, int(workers or 1))
     tasks = [(s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
     results = []
     if nw == 1 or len(tasks) == 1:
@@ -544,18 +543,15 @@ def run_paths(params: ModelParams, config: SimConfig,
 
 
 def simulate_crossing(params: ModelParams, config: SimConfig, q: float = 0.0,
-                      path_index: int = 0) -> CrossingOutcome:
-    """Simulate a single path and summarise its crossing.
+                      path_index: int = 0) -> SimResult:
+    """Simulate path path_index alone, as a one-row SimResult with q_list (q,).
 
-    Runs the batch engine on a group of one path, so the outcome equals
-    member path_index of a run_paths batch with the same settings.
+    Runs the batch engine on a group of one path, so every field equals row
+    path_index of a run_paths batch with the same settings.
     """
-    _, modes, taus, osh, pre, comp = _run_block(
-        params, config, (float(q),), path_index, 1)
-    code = int(modes[0])
-    return CrossingOutcome(MODE_CODES[code], float(taus[0]),
-                           float(osh[0]) if code == 1 else 0.0,
-                           float(pre[0]), float(comp[0, 0]))
+    q_tuple = (float(q),)
+    _, *rows = _run_block(params, config, q_tuple, path_index, 1)
+    return SimResult(params, config, q_tuple, *rows)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +564,6 @@ class JumpLaw:
         raise NotImplementedError
 
     def tail(self, y: float) -> float:
-        raise NotImplementedError
-
-    @property
-    def is_diffuse(self) -> bool:
         raise NotImplementedError
 
 
@@ -588,10 +580,6 @@ class DegenerateJumps(JumpLaw):
 
     def tail(self, y):
         return 1.0 if y <= self.size else 0.0
-
-    @property
-    def is_diffuse(self):
-        return False
 
 
 @dataclass(frozen=True)
@@ -614,10 +602,6 @@ class LatticeJumps(JumpLaw):
     def tail(self, y):
         return float(sum(p for v, p in zip(self.values, self.probs) if v >= y))
 
-    @property
-    def is_diffuse(self):
-        return False
-
 
 @dataclass(frozen=True)
 class ExponentialJumps(JumpLaw):
@@ -632,10 +616,6 @@ class ExponentialJumps(JumpLaw):
 
     def tail(self, y):
         return 1.0 if y <= 0.0 else math.exp(-self.rate * y)
-
-    @property
-    def is_diffuse(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -656,10 +636,6 @@ class UniformJumps(JumpLaw):
         if y >= self.hi:
             return 0.0
         return (self.hi - y) / (self.hi - self.lo)
-
-    @property
-    def is_diffuse(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -744,7 +720,7 @@ class CpResult:
     spec: CompoundPoissonSpec
     horizon: float
     grid: np.ndarray
-    modes: np.ndarray        # int8: 3 = jump_hit, 1 = jump_over, 2 = censored
+    modes: np.ndarray        # int8 codes of jump_hit, jump_over, censored
     taus: np.ndarray
     crossed_at: np.ndarray   # indicator 1{tau <= t}, shape (n, len(grid))
     comp_at: np.ndarray      # compensator at grid times, same shape
@@ -754,7 +730,8 @@ class CpResult:
         return self.modes.shape[0]
 
 
-CP_MODE_CODES = {3: Mode.JUMP_HIT, 1: Mode.JUMP_OVER, 2: Mode.CENSORED}
+# compound Poisson batches write codes from the same table as run_paths
+CP_MODE_CODES = MODE_CODES
 
 
 def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
@@ -782,11 +759,12 @@ def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
         if did_cross:
             tau = times[-1]
             end_level = levels[-1]
-            modes[i] = 3 if end_level == a else 1
+            modes[i] = CODE_OF[Mode.JUMP_HIT if end_level == a
+                               else Mode.JUMP_OVER]
             taus[i] = tau
         else:
             tau = math.inf
-            modes[i] = 2
+            modes[i] = CODE_OF[Mode.CENSORED]
             taus[i] = math.inf
         if n_grid:
             crossed[i] = (grid >= tau) if math.isfinite(tau) else 0.0

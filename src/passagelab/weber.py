@@ -142,18 +142,6 @@ def pcf_d(nu: float, z: float, rtol: float = TOL_PCF) -> float:
     return math.exp(log_pcf_d(nu, z, rtol))
 
 
-def pcf_d_pair(nu: float, z: float, rtol: float = TOL_PCF) -> tuple[float, float]:
-    """(D_nu(z), D_(nu+1)(z)) with one consistent quadrature policy.
-
-    Requires nu + 1 <= 0; the pair is what the derivative identity
-    D_nu'(z) = (z/2) D_nu(z) - D_(nu+1)(z) consumes.
-    """
-    if nu + 1.0 > 0.0:
-        raise UnsupportedRegimeError(
-            f"pcf_d_pair needs nu + 1 <= 0, got nu={nu:g}")
-    return pcf_d(nu, z, rtol), pcf_d(nu + 1.0, z, rtol)
-
-
 def _cheb_fit_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     """First-kind Chebyshev points t and the matrix m with coef = f(t) @ m."""
     t = _cheb.chebpts1(n)

@@ -12,7 +12,9 @@ batches. Deselect with `-k "not acceptance"` during development.
 
 import pytest
 
+from passagelab import acceptance
 from passagelab.acceptance import _CRITERIA, run_acceptance
+from passagelab.errors import UnderSampleError
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +42,19 @@ def test_overall_verdict(reports):
 def test_reports_identical_across_worker_counts(reports):
     serial, pooled = reports
     assert serial.render().encode() == pooled.render().encode()
+
+
+def test_raising_criterion_reports_only_its_error(monkeypatch):
+    def boom(shared):
+        raise UnderSampleError("too few")
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", [(3, "boom", boom)])
+    # a zero budget that a raising criterion must not be judged against
+    monkeypatch.setitem(acceptance._BUDGETS, 3, 0.0)
+    (result,) = run_acceptance().results
+    assert not result.passed
+    assert result.details == [("error", "UnderSampleError: too few")]
+    assert result.budget is None
 
 
 def test_report_layout(reports):

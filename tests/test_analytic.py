@@ -19,12 +19,10 @@ from passagelab.analytic import (
     g0_prime,
     g0_profile,
     gq_from_solution,
-    green_kernel,
     homogeneous_basis,
     ode3_residual,
     oide_residual,
     robin_operator,
-    small_q_slope,
     solve_wq,
     w0_term,
 )
@@ -124,29 +122,6 @@ class TestBasis:
     def test_operator_residual_rejects_unknown_member(self, basis0):
         with pytest.raises(StructuralError):
             basis_operator_residual(basis0, "phi", 0.0)
-
-
-class TestGreenKernel:
-    def test_weighted_symmetry_and_sign(self, basis0):
-        # the operator is self-adjoint only after the gauge weight, so the
-        # kernel satisfies G(x, y) e^{2p(y)} = G(y, x) e^{2p(x)}
-        for x, y in [(-1.0, 0.5), (-3.0, 0.9), (0.2, 0.3)]:
-            wxy = green_kernel(basis0, x, y) * math.exp(2.0 * basis0.ctx.p(y))
-            wyx = green_kernel(basis0, y, x) * math.exp(2.0 * basis0.ctx.p(x))
-            assert wxy == pytest.approx(wyx, rel=1e-12)
-            assert green_kernel(basis0, x, y) < 0.0
-
-    def test_derivative_jump_across_diagonal(self, basis0):
-        # the defining property: d/dx at y+ minus at y- equals 2/sigma^2
-        y, h = -0.2, 1e-6
-        up = (green_kernel(basis0, y + 2 * h, y) - green_kernel(basis0, y + h, y)) / h
-        down = (green_kernel(basis0, y - h, y) - green_kernel(basis0, y - 2 * h, y)) / h
-        jump = up - down
-        assert jump == pytest.approx(2.0 / REF.sigma ** 2, rel=1e-3)
-
-    def test_domain_check(self, basis0):
-        with pytest.raises(StructuralError):
-            green_kernel(basis0, REF.a + 0.1, 0.0)
 
 
 class TestClosedForms:
@@ -303,17 +278,6 @@ class TestResiduals:
         fn = lambda v: g0(REF, float(v))
         with pytest.raises(StructuralError):
             oide_residual(REF, 0.0, fn, REF.a)
-
-
-class TestSmallQ:
-    def test_slope_positive_and_bounded(self):
-        cheap = VolterraGrid(n_cells=2048, truncation_check=False)
-        slope = small_q_slope(REF, 0.0, 0.05, cheap)
-        assert 0.0 < slope < 3.0
-
-    def test_requires_positive_discount(self):
-        with pytest.raises(StructuralError):
-            small_q_slope(REF, 0.0, 0.0)
 
 
 def test_seed_term_sign_and_consistency():

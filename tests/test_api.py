@@ -1,0 +1,97 @@
+"""The public surface, and the names and call shapes the benchmark relies on.
+
+bench/workloads.py calls the package by name, patches some functions at the
+attribute its callers look them up by, and passes some arguments by
+position. A cleanup that renames or reshapes any of them breaks the
+benchmark; these tests make it fail here first.
+"""
+
+import inspect
+
+import pytest
+
+import passagelab
+from passagelab import acceptance, analytic, mc, paths, simulate, weber
+
+
+def test_public_names_are_pinned():
+    assert passagelab.__all__ == [
+        "AccuracyError", "AnnouncingReport", "Barrier", "CompoundPoissonSpec",
+        "ConvergenceError", "CrossingRecord", "DegenerateJumps",
+        "ExponentialJumps", "InconsistencyError", "Jump", "LatticeJumps",
+        "Mode", "ModelParams", "NumericalError", "PiecewisePath",
+        "ResonanceError", "Segment", "SimConfig", "SimResult",
+        "StructuralError", "UnderSampleError", "UniformJumps",
+        "UnsupportedRegimeError", "WeberContext", "announcing_sequence",
+        "bridge_crossing_prob", "check_no_premature_contact", "classify_mode",
+        "errors", "first_passage", "load_corpus", "load_path", "log_pcf_d",
+        "make_context", "ou_exact_step", "paths", "pcf_d", "quad",
+        "restricted_times", "run_compound_poisson", "run_paths",
+        "running_supremum", "save_path", "simulate",
+        "simulate_compound_poisson", "simulate_crossing", "weber",
+    ]
+
+
+# every module attribute the benchmark reaches or patches
+BENCH_NAMES = [
+    (simulate, "CP_MODE_CODES"), (simulate, "first_passage"),
+    (simulate, "run_paths"), (simulate, "run_compound_poisson"),
+    (simulate, "simulate_compound_poisson"), (simulate, "CompoundPoissonSpec"),
+    (simulate, "ExponentialJumps"), (simulate, "LatticeJumps"),
+    (simulate, "ModelParams"), (simulate, "SimConfig"),
+    (analytic, "log_pcf_d_batch"), (analytic, "log_pcf_d"),
+    (analytic, "composite_gl"), (analytic, "homogeneous_basis"),
+    (analytic, "VolterraGrid"), (analytic, "solve_wq"),
+    (analytic, "gq_from_solution"), (analytic, "g0"), (analytic, "g0_profile"),
+    (analytic, "creeping_prob"), (analytic, "boundary_slope"),
+    (analytic, "oide_residual"), (analytic, "compatibility_defect"),
+    (analytic, "robin_operator"),
+    (acceptance, "AcceptanceSettings"), (acceptance, "random_compliant_path"),
+    (acceptance, "random_violating_path"),
+    (paths, "first_passage"), (paths, "running_supremum"),
+    (paths, "restricted_times"), (paths, "check_no_premature_contact"),
+    (paths, "announcing_sequence"), (paths, "save_path"), (paths, "load_path"),
+    (paths, "Barrier"), (paths, "Mode"),
+    (weber, "make_context"), (weber, "pcf_d"), (weber, "log_pcf_d"),
+    (weber, "log_pcf_d_batch"),
+]
+
+
+@pytest.mark.parametrize("module,name", BENCH_NAMES,
+                         ids=[f"{m.__name__}.{n}" for m, n in BENCH_NAMES])
+def test_bench_names_exist(module, name):
+    assert hasattr(module, name)
+
+
+def test_cp_code_table_covers_the_bench_lookups():
+    codes = {mode: code for code, mode in simulate.CP_MODE_CODES.items()}
+    for mode in (paths.Mode.JUMP_HIT, paths.Mode.JUMP_OVER, paths.Mode.CENSORED):
+        assert simulate.CP_MODE_CODES[codes[mode]] is mode
+
+
+P, CFG, RES, Q, SPEC, N, SEED, HORIZON, GRID, LAT = (object() for _ in range(10))
+
+# (function, positional arguments, keyword arguments) as the benchmark calls it
+BENCH_CALLS = [
+    (mc.estimate_mode_probs, (P, CFG, RES), {}),
+    (mc.estimate_gq_indicator, (P, CFG, Q, RES), {}),
+    (mc.estimate_gq_compensator, (P, CFG, Q, RES), {}),
+    (mc.estimate_hq_fq, (P, CFG, Q, RES), {}),
+    (mc.overshoot_law_test, (P, CFG, RES), {"min_samples": N}),
+    (mc.estimate_overshoot_moments, (P, CFG, RES), {}),
+    (mc.estimate_cp_mode_probs, (SPEC, N, SEED, HORIZON), {"result": LAT}),
+    (mc.compensator_martingale_check, (SPEC, GRID, N, SEED),
+     {"horizon": HORIZON, "result": LAT}),
+    (simulate.run_paths, (P, CFG), {"q_list": Q, "workers": N}),
+    (simulate.run_compound_poisson, (SPEC, N, SEED, HORIZON), {}),
+    (simulate.run_compound_poisson, (SPEC, N, SEED, HORIZON), {"grid": GRID}),
+    (simulate.simulate_compound_poisson, (SPEC, SEED, HORIZON),
+     {"path_index": N}),
+]
+
+
+@pytest.mark.parametrize("fn,args,kwargs", BENCH_CALLS,
+                         ids=[f"{fn.__name__}-{len(a)}-{'-'.join(kw)}"
+                              for fn, a, kw in BENCH_CALLS])
+def test_bench_call_shapes_bind(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)

@@ -9,7 +9,9 @@ import math
 
 import pytest
 
-from passagelab.cli import main
+from passagelab.acceptance import AcceptanceSettings
+from passagelab.analytic import VolterraGrid
+from passagelab.cli import _build_parser, main, resolve_config
 from passagelab.paths import PiecewisePath, Segment, save_path
 
 TINY_SIM = ["--set", "sim.n_paths=600", "--set", "sim.step=0.005",
@@ -182,6 +184,12 @@ class TestSimulate:
         assert serial[0] == pooled[0] == from_env[0] == 0
         assert serial[1] == pooled[1] == from_env[1]
 
+    def test_unreadable_worker_count_is_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("PASSAGELAB_WORKERS", "two")
+        code, out, err = run_cli(capsys, "simulate", *TINY_SIM)
+        assert code == 1 and out == ""
+        assert "error: structural" in err and "workers" in err
+
 
 class TestTable:
     def test_comparison_row(self, capsys):
@@ -240,6 +248,11 @@ class TestConfigResolution:
         code, _, err = run_cli(capsys, "closed-form",
                                "--set", "model.x=2.0")
         assert code == 1 and "error: structural" in err
+
+    def test_defaults_are_the_reference_configuration(self):
+        rc = resolve_config(_build_parser().parse_args(["verify"]))
+        assert rc.verify_settings == AcceptanceSettings()
+        assert rc.solver == VolterraGrid()
 
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys)

@@ -17,7 +17,7 @@ from passagelab.mc import (
     estimate_overshoot_moments,
     overshoot_law_test,
 )
-from passagelab.paths import Mode
+from passagelab.paths import CODE_OF, Mode
 from passagelab.simulate import (
     CompoundPoissonSpec,
     ExponentialJumps,
@@ -73,9 +73,10 @@ class TestModeProbs:
 class TestTransformEstimates:
     def test_zero_discount_equals_frequency(self, batch):
         est = estimate_gq_indicator(REF, CFG, 0.0, result=batch)
-        freq = float(np.mean(batch.modes == 1))
+        over = batch.modes == CODE_OF[Mode.JUMP_OVER]
+        freq = float(np.mean(over))
         assert est.mean == freq
-        assert est.breakdown["jump_over_count"] == int((batch.modes == 1).sum())
+        assert est.breakdown["jump_over_count"] == int(over.sum())
 
     def test_discount_decreases_estimate(self, batch):
         e0 = estimate_gq_indicator(REF, CFG, 0.0, result=batch)

@@ -1,14 +1,19 @@
 """Deterministic path layer: validation, crossing detection, announcing."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passagelab.acceptance import random_compliant_path, random_violating_path
 from passagelab.errors import InconsistencyError, StructuralError
 from passagelab.paths import (
     CONTACT_MODES,
+    EPS_MODE,
     GAP_MODES,
     Barrier,
     CrossingRecord,
@@ -324,3 +329,61 @@ class TestPathFiles:
     def test_unknown_corpus_name(self):
         with pytest.raises(StructuralError):
             load_corpus("does_not_exist")
+
+
+# Property tests over the suite's own random path generators: a seed and a
+# choice of generator per example, drawn deterministically.
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _draw(seed: int, compliant: bool) -> PiecewisePath:
+    rng = np.random.default_rng(seed)
+    return random_compliant_path(rng) if compliant else random_violating_path(rng)
+
+
+def _sample_times(path: PiecewisePath, seed: int) -> np.ndarray:
+    """A dense grid, random times, every breakpoint and the horizon."""
+    rng = np.random.default_rng(seed)
+    knots = [s.t_start for s in path.segments] + [path.horizon]
+    return np.unique(np.concatenate((np.linspace(0.0, path.horizon, 1001),
+                                     rng.uniform(0.0, path.horizon, 200),
+                                     knots)))
+
+
+class TestPathProperties:
+    @_PROPERTY
+    @given(seed=_SEEDS, compliant=st.booleans())
+    def test_save_then_load_is_identity(self, seed, compliant):
+        path = _draw(seed, compliant)
+        with tempfile.TemporaryDirectory() as folder:
+            fname = os.path.join(folder, "drawn.path")
+            save_path(path, fname)
+            assert load_path(fname) == path
+
+    @_PROPERTY
+    @given(seed=_SEEDS, compliant=st.booleans())
+    def test_running_supremum_is_monotone_and_dominates(self, seed, compliant):
+        path = _draw(seed, compliant)
+        sup = running_supremum(path, ZERO)
+        ts = _sample_times(path, seed)
+        s = np.array([sup.value(float(t)) for t in ts])
+        y = np.array([path.value(float(t)) for t in ts])
+        assert np.all(np.diff(s) >= 0.0)
+        assert np.all(s >= y)
+
+    @_PROPERTY
+    @given(seed=_SEEDS, compliant=st.booleans())
+    def test_first_passage_agrees_with_dense_sampling(self, seed, compliant):
+        path = _draw(seed, compliant)
+        tau = first_passage(path, ZERO).tau
+        ts = _sample_times(path, seed)
+        before = ts[ts < tau]
+        assert all(path.value(float(t)) < 0.0 for t in before)
+        if math.isfinite(tau):
+            # a jump or an exact hit at tau, or a continuous arrival at 0
+            assert path.value(tau) >= 0.0 \
+                or abs(path.left_limit(tau)) <= EPS_MODE
+        else:
+            assert before.size == ts.size

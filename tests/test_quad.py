@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from passagelab.errors import AccuracyError
-from passagelab.quad import composite_gl, fd_derivative, signed_log_sum
+from passagelab.quad import composite_gl, fd_derivative
 
 
 class TestCompositeGl:
@@ -33,27 +33,6 @@ class TestCompositeGl:
         assert val == pytest.approx((1.0 - math.cos(40.0)) / 40.0, rel=1e-10)
 
 
-class TestSignedLogSum:
-    def test_cancellation(self):
-        sign, log_abs = signed_log_sum([1.0, -1.0], [0.0, 0.0])
-        assert sign == 0.0 and log_abs == -math.inf
-
-    def test_mixed_signs(self):
-        # 3 e^2 - e^1
-        sign, log_abs = signed_log_sum([3.0, -1.0], [2.0, 1.0])
-        assert sign == 1.0
-        assert log_abs == pytest.approx(math.log(3 * math.e ** 2 - math.e))
-
-    def test_all_negligible(self):
-        sign, log_abs = signed_log_sum([1.0], [-math.inf])
-        assert sign == 0.0 and log_abs == -math.inf
-
-    def test_huge_scale(self):
-        sign, log_abs = signed_log_sum([1.0, 1.0], [1000.0, 1000.0])
-        assert sign == 1.0
-        assert log_abs == pytest.approx(1000.0 + math.log(2.0))
-
-
 class TestFdDerivative:
     @pytest.mark.parametrize("order,want", [(1, 1.0), (2, 1.0), (3, 1.0)])
     def test_central_orders_on_exp(self, order, want):
@@ -66,12 +45,6 @@ class TestFdDerivative:
         d2 = fd_derivative(f, 0.5, order=2, h=1e-3, side="left")
         assert d1 == pytest.approx(2.0 * math.cos(1.0), rel=1e-8)
         assert d2 == pytest.approx(-4.0 * math.sin(1.0), rel=1e-6)
-
-    def test_richardson_improves(self):
-        f = lambda x: math.exp(2.0 * x)
-        plain = abs(fd_derivative(f, 0.0, order=1, h=5e-2) - 2.0)
-        extrap = abs(fd_derivative(f, 0.0, order=1, h=5e-2, richardson=True) - 2.0)
-        assert extrap < plain / 10.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Simulation engine: exact diffusion steps, bridge correction, jump paths."""
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -9,9 +10,8 @@ from scipy.linalg import solve_banded
 
 from passagelab import simulate
 from passagelab.errors import StructuralError
-from passagelab.paths import Mode, first_passage, Barrier
+from passagelab.paths import CODE_OF, Mode, first_passage, Barrier
 from passagelab.simulate import (
-    MODE_CODES,
     CompoundPoissonSpec,
     DegenerateJumps,
     ExponentialJumps,
@@ -34,6 +34,8 @@ from passagelab.simulate import (
 
 REF = ModelParams(alpha=0.1, beta=-0.5, sigma=0.3, lam=1.0, eta=2.0,
                   a=1.0, x=0.0)
+CREEP, JUMP_OVER, CENSORED, JUMP_HIT = (
+    CODE_OF[m] for m in (Mode.CREEP, Mode.JUMP_OVER, Mode.CENSORED, Mode.JUMP_HIT))
 
 
 class TestModelParams:
@@ -121,6 +123,33 @@ class TestExactStep:
         assert np.all(np.isfinite(seg))
         assert abs(seg[-1]) < 1e-6  # decayed to the mean level 0
 
+    def test_underflowing_growth_takes_exact_steps(self):
+        # exp(beta h) underflows to 0 at beta h = -800, so the tables take
+        # one exact step per column and no path turns into nan
+        params = dataclasses.replace(REF, beta=-800.0)
+        xi = np.random.default_rng(5).standard_normal(7)
+        seg = _StepTables(params, 1.0, np.array([])).walk(np.array([-0.3]),
+                                                          xi[None, :])[0]
+        x = -0.3
+        walked = []
+        for g in xi:
+            x = ou_exact_step(x, 1.0, float(g), params)
+            walked.append(x)
+        assert np.array_equal(seg, walked)
+        cfg = SimConfig(horizon=5.0, step=1.0, seed=1, n_paths=5)
+        res = run_paths(params, cfg, q_list=(0.1,))
+        assert np.all(np.isfinite(res.comp))
+        # between jumps the paths stay within a few 1e-2 of 0 at both
+        # betas, so the same jumps cross
+        slower = run_paths(dataclasses.replace(params, beta=-100.0), cfg)
+        assert np.array_equal(res.modes, slower.modes)
+        assert np.array_equal(res.taus, slower.taus)
+
+    def test_overflowing_step_is_rejected(self):
+        cfg = SimConfig(horizon=5.0, step=1.0, seed=1, n_paths=5)
+        with pytest.raises(StructuralError):
+            run_paths(dataclasses.replace(REF, beta=800.0), cfg)
+
     def test_array_step_lengths(self):
         dts = np.array([1e-3, 0.5, 2.0])
         got = ou_exact_step(0.2, dts, 0.7, REF)
@@ -201,6 +230,14 @@ class TestEngine:
         assert np.array_equal(a.overshoots, b.overshoots, equal_nan=True)
         assert np.array_equal(a.comp, b.comp)
 
+    def test_workers_none_runs_serially(self, monkeypatch):
+        # the worker count is the caller's to set; run_paths reads no
+        # environment, so no pool may start here
+        monkeypatch.setenv("PASSAGELAB_WORKERS", "2")
+        monkeypatch.setattr(simulate, "_BLOCK", 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        assert run_paths(REF, dataclasses.replace(self.CFG, n_paths=16)).n == 16
+
     def test_same_seed_reproduces(self):
         a = run_paths(REF, self.CFG, workers=1)
         b = run_paths(REF, self.CFG, workers=1)
@@ -216,18 +253,18 @@ class TestEngine:
         res = run_paths(REF, self.CFG, q_list=(0.0, 0.1), workers=1)
         assert res.n == 768
         assert res.comp.shape == (768, 2)
-        assert set(np.unique(res.modes)) <= {0, 1, 2}
+        assert set(np.unique(res.modes)) <= {CREEP, JUMP_OVER, CENSORED}
         assert res.q_index(0.1) == 1
         with pytest.raises(StructuralError):
             res.q_index(0.2)
 
     def test_overshoots_only_for_jump_crossings(self):
         res = run_paths(REF, self.CFG, workers=1)
-        over = res.modes == 1
+        over = res.modes == JUMP_OVER
         assert np.all(res.overshoots[over] > 0.0)
         assert np.all(np.isnan(res.overshoots[~over]))
         # creep paths sit exactly at the barrier when they cross
-        creep = res.modes == 0
+        creep = res.modes == CREEP
         assert np.all(res.pre_jump_levels[creep] == REF.a)
 
     def test_vanishing_jump_sizes_remove_jump_crossings(self):
@@ -235,16 +272,17 @@ class TestEngine:
         # about 1e-12 of it, so every crossing is a creep
         tiny = dataclasses.replace(REF, eta=1e12)
         res = run_paths(tiny, self.CFG, workers=1)
-        assert not np.any(res.modes == 1)
-        assert np.any(res.modes == 0)
+        assert not np.any(res.modes == JUMP_OVER)
+        assert np.any(res.modes == CREEP)
 
     def test_single_path_summary(self):
         out = simulate_crossing(REF, self.CFG, q=0.05, path_index=7)
-        assert out.mode in (Mode.CREEP, Mode.JUMP_OVER, Mode.CENSORED)
-        assert isinstance(out.tau, float)
-        if out.mode is Mode.JUMP_OVER:
-            assert out.overshoot > 0.0
-        assert out.compensator_integral >= 0.0
+        assert out.n == 1 and out.q_list == (0.05,)
+        assert out.comp.shape == (1, 1)
+        assert out.modes[0] in (CREEP, JUMP_OVER, CENSORED)
+        if out.modes[0] == JUMP_OVER:
+            assert out.overshoots[0] > 0.0
+        assert out.comp[0, 0] >= 0.0
 
     def test_records_stream_version(self):
         assert run_paths(REF, dataclasses.replace(self.CFG, n_paths=4)
@@ -254,10 +292,13 @@ class TestEngine:
 _FIELDS = ("modes", "taus", "overshoots", "pre_jump_levels", "comp")
 
 
-def _assert_same(a, b):
+def _assert_same(a, b, rows=slice(None), q_cols=slice(None)):
+    """Every field of a equals the rows (and q columns) of b, bit for bit."""
     for name in _FIELDS:
-        assert np.array_equal(getattr(a, name), getattr(b, name),
-                              equal_nan=True), name
+        want = getattr(b, name)[rows]
+        if name == "comp":
+            want = want[:, q_cols]
+        assert np.array_equal(getattr(a, name), want, equal_nan=True), name
 
 
 class TestReplay:
@@ -275,13 +316,7 @@ class TestReplay:
                                                  replace=False)
         for i in picks:
             out = simulate_crossing(REF, self.CFG, q=0.05, path_index=int(i))
-            assert out.mode is MODE_CODES[int(batch.modes[i])]
-            assert out.tau == batch.taus[i]
-            assert out.compensator_integral == batch.comp[i, 1]
-            if out.mode is Mode.JUMP_OVER:
-                assert out.overshoot == batch.overshoots[i]
-            assert out.pre_jump_level == batch.pre_jump_levels[i] \
-                or math.isnan(batch.pre_jump_levels[i])
+            _assert_same(out, batch, rows=slice(i, i + 1), q_cols=[1])
 
     def test_shorter_batch_is_a_prefix(self, batch):
         short = run_paths(REF, dataclasses.replace(self.CFG, n_paths=300),
@@ -311,11 +346,10 @@ class TestReplay:
         cfg = SimConfig(horizon=5.0, step=0.05, seed=3, n_paths=40,
                         bridge_correction=bridge)
         res = run_paths(params, cfg, q_list=(0.1,), workers=1)
-        assert np.all(np.isin(res.modes, (0, 1, 2)))
+        assert np.all(np.isin(res.modes, (CREEP, JUMP_OVER, CENSORED)))
         for i in (0, 13, 39):
             out = simulate_crossing(params, cfg, q=0.1, path_index=i)
-            assert out.tau == res.taus[i]
-            assert out.compensator_integral == res.comp[i, 0]
+            _assert_same(out, res, rows=slice(i, i + 1))
 
 
 class TestCompoundPoisson:
@@ -323,8 +357,9 @@ class TestCompoundPoisson:
         spec = CompoundPoissonSpec(intensity=1.0, jump_law=DegenerateJumps(1.0),
                                    barrier_level=1.0, start=0.0)
         res = run_compound_poisson(spec, 500, seed=1, horizon=50.0)
-        crossed = res.modes != 2
-        assert np.all(res.modes[crossed] == 3)  # every crossing is an exact hit
+        crossed = res.modes != CENSORED
+        # every crossing is an exact hit
+        assert np.all(res.modes[crossed] == JUMP_HIT)
 
     def test_degenerate_jump_overshoot_value(self):
         spec = CompoundPoissonSpec(intensity=1.0, jump_law=DegenerateJumps(1.0),
@@ -337,7 +372,7 @@ class TestCompoundPoisson:
         spec = CompoundPoissonSpec(intensity=1.0, jump_law=ExponentialJumps(2.0),
                                    barrier_level=1.0, start=0.0)
         res = run_compound_poisson(spec, 3000, seed=5, horizon=8.0)
-        assert int((res.modes == 3).sum()) == 0
+        assert int((res.modes == JUMP_HIT).sum()) == 0
 
     def test_path_route_agrees_with_batch(self):
         # replaying a batch member through the PiecewisePath machinery must
@@ -345,11 +380,10 @@ class TestCompoundPoisson:
         spec = CompoundPoissonSpec(intensity=1.5, jump_law=UniformJumps(0.2, 0.9),
                                    barrier_level=1.0, start=0.0)
         res = run_compound_poisson(spec, 40, seed=11, horizon=6.0)
-        code = {Mode.JUMP_HIT: 3, Mode.JUMP_OVER: 1, Mode.CENSORED: 2}
         for i in range(40):
             _, rec = simulate_compound_poisson(spec, seed=11, horizon=6.0,
                                                path_index=i)
-            assert code[rec.mode] == res.modes[i]
+            assert CODE_OF[rec.mode] == res.modes[i]
             if rec.mode is not Mode.CENSORED:
                 assert rec.tau == res.taus[i]
 
@@ -373,8 +407,8 @@ class TestCompoundPoisson:
         spec = CompoundPoissonSpec(intensity=0.01, jump_law=DegenerateJumps(2.0),
                                    barrier_level=1.0, start=0.0)
         res = run_compound_poisson(spec, 100, seed=9, horizon=0.5)
-        assert np.all(np.isinf(res.taus[res.modes == 2]))
-        assert (res.modes == 2).sum() > 90
+        assert np.all(np.isinf(res.taus[res.modes == CENSORED]))
+        assert (res.modes == CENSORED).sum() > 90
 
     def test_spec_validation(self):
         with pytest.raises(StructuralError):

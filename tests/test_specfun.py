@@ -15,7 +15,6 @@ from passagelab.weber import (
     log_pcf_d_batch,
     make_context,
     pcf_d,
-    pcf_d_pair,
 )
 
 # Reference values computed with mpmath.pcfd at 40 decimal digits and
@@ -98,13 +97,6 @@ def test_batch_matches_scalar():
         scalars = np.array([log_pcf_d(nu, float(z)) for z in zs])
         assert batch == pytest.approx(scalars, abs=1e-13)
         assert np.array_equal(batch, log_pcf_d_batch(nu, zs))
-
-
-def test_pair_is_consistent_with_singles():
-    for nu, z in ((-3.0, 0.9), (-1.2, -2.0), (-5.5, 4.0)):
-        d0, d1 = pcf_d_pair(nu, z)
-        assert d0 == pytest.approx(pcf_d(nu, z), rel=1e-12)
-        assert d1 == pytest.approx(pcf_d(nu + 1.0, z), rel=1e-12)
 
 
 def test_large_argument_asymptotics():
