@@ -44,17 +44,6 @@ _LOG_EPS = math.log(1e-12)
 _RESONANCE_FLOOR = math.log(1e-10)
 
 
-def _as_batch(g: Callable, xs: np.ndarray) -> np.ndarray:
-    """Call g vectorised if it supports arrays, else pointwise."""
-    try:
-        out = np.asarray(g(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(g(float(v))) for v in xs])
-
-
 @dataclass(eq=False)
 class HomogeneousBasis:
     """Log-space basis pair for the gauge-reduced operator at discount q.
@@ -190,7 +179,7 @@ def g0_prime(params: ModelParams, x: float) -> float:
     return w0_term(params, 0.0, x)
 
 
-def g0(params: ModelParams, x: float, rtol: float = 1e-12) -> float:
+def g0(params: ModelParams, x: float) -> float:
     """Undiscounted probability that the crossing happens by a jump."""
     if x > params.a:
         raise StructuralError(f"x = {x!r} must not exceed the barrier")
@@ -200,7 +189,7 @@ def g0(params: ModelParams, x: float, rtol: float = 1e-12) -> float:
     def integrand(ys):
         return np.exp(_log_w0_batch(params, 0.0, np.asarray(ys)))
 
-    return composite_gl(integrand, x, params.a, rtol=rtol)
+    return composite_gl(integrand, x, params.a, rtol=1e-12)
 
 
 def g0_profile(params: ModelParams, grid: Sequence[float]) -> np.ndarray:
@@ -226,9 +215,9 @@ def g0_profile(params: ModelParams, grid: Sequence[float]) -> np.ndarray:
     return out
 
 
-def creeping_prob(params: ModelParams, x: float, rtol: float = 1e-12) -> float:
+def creeping_prob(params: ModelParams, x: float) -> float:
     """Probability the barrier is first reached continuously (no overshoot)."""
-    return 1.0 - g0(params, x, rtol=rtol)
+    return 1.0 - g0(params, x)
 
 
 def boundary_slope(params: ModelParams) -> float:
@@ -451,48 +440,46 @@ def gq_from_solution(sol: VolterraSolution, x) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 # residual diagnostics
 
-def oide_residual(params: ModelParams, q: float, g: Callable, x: float,
-                  h1: float | None = None, h2: float | None = None,
-                  quad_rtol: float = 1e-11) -> float:
+def oide_residual(params: ModelParams, q: float, g: Callable,
+                  x: float) -> float:
     """Defect of g in the integro-differential crossing equation at x.
 
-    Derivatives are fourth-order finite differences; defaults h1, h2 are
-    tuned for functions evaluated near machine precision but backed by
-    quadrature or interpolation (callers with analytically smooth g may
-    shrink them). The exponential tail integral is evaluated by adaptive
-    Gauss quadrature of g itself.
+    g must accept an array of points: the exponential tail integral is
+    adaptive Gauss quadrature of g itself, called on each level's node
+    array. Derivatives are fourth-order finite differences with fixed
+    steps 1e-3 and 2e-3 times max(1, |x|), tuned for functions evaluated
+    near machine precision but backed by quadrature or interpolation.
     """
     a, eta, lam = params.a, params.eta, params.lam
     if not x < a:
         raise StructuralError("residual point must lie strictly below a")
     scale = max(1.0, abs(x))
-    h1 = h1 if h1 is not None else 1e-3 * scale
-    h2 = h2 if h2 is not None else 2e-3 * scale
+    h1 = 1e-3 * scale
+    h2 = 2e-3 * scale
     side1 = "central" if x + 2.0 * h1 <= a else "left"
     side2 = "central" if x + 2.0 * h2 <= a else "left"
     d1 = fd_derivative(g, x, order=1, h=h1, side=side1)
     d2 = fd_derivative(g, x, order=2, h=h2, side=side2)
 
     def integrand(ys):
-        ys = np.asarray(ys)
-        return _as_batch(g, ys) * eta * np.exp(-eta * (ys - x))
+        return g(ys) * eta * np.exp(-eta * (ys - x))
 
-    tail = composite_gl(integrand, x, a, rtol=quad_rtol, atol=1e-13)
+    tail = composite_gl(integrand, x, a, rtol=1e-11, atol=1e-13)
     gx = float(g(x))
     return 0.5 * params.sigma ** 2 * d2 + (params.alpha + params.beta * x) * d1 \
         + lam * tail - (lam + q) * gx + lam * math.exp(-eta * (a - x))
 
 
-def compatibility_defect(params: ModelParams, q: float, g: Callable,
-                         h: float = 2e-3) -> float:
+def compatibility_defect(params: ModelParams, q: float, g: Callable) -> float:
     """Barrier-side second-order condition every admissible g must satisfy.
 
     Evaluates 0.5 sigma^2 g''(a-) + (alpha + beta a) g'(a-) + lam with
-    one-sided stencils from below; the discount enters only through g.
+    one-sided stencils of step 2e-3 from below; the discount enters only
+    through g.
     """
     a = params.a
-    d1 = fd_derivative(g, a, order=1, h=h, side="left")
-    d2 = fd_derivative(g, a, order=2, h=h, side="left")
+    d1 = fd_derivative(g, a, order=1, h=2e-3, side="left")
+    d2 = fd_derivative(g, a, order=2, h=2e-3, side="left")
     return 0.5 * params.sigma ** 2 * d2 \
         + (params.alpha + params.beta * a) * d1 + params.lam
 

@@ -150,11 +150,15 @@ def _read_config(config_path: str | None, overrides: list[str]
 
 def _resolve_workers(raw: str, flag: int | None) -> int | None:
     if flag is not None:
-        return flag
-    if raw.strip().lower() == "auto":
+        workers = flag
+    elif raw.strip().lower() == "auto":
         env = os.environ.get(_ENV_WORKERS, "").strip()
-        return _typed("run", "workers", env, int) if env else None
-    return _typed("run", "workers", raw, int)
+        workers = _typed("run", "workers", env, int) if env else None
+    else:
+        workers = _typed("run", "workers", raw, int)
+    if workers is not None and workers < 1:
+        raise StructuralError(f"workers must be at least 1, got {workers}")
+    return workers
 
 
 def resolve_config(args) -> RunConfig:

@@ -200,10 +200,16 @@ def estimate_cp_mode_probs(spec: CompoundPoissonSpec, n_paths: int, seed: int,
                            horizon: float,
                            result: CpResult | None = None
                            ) -> dict[Mode, McEstimate]:
-    """Frequencies of exact hits, strict overshoots, and censored paths."""
+    """Frequencies of every compound Poisson mode; they sum to 1.
+
+    Exact hits, strict overshoots and censored paths come first, then
+    touch_jump and creep, which a path reaches only through the EPS_MODE
+    tolerance.
+    """
     res = result if result is not None else run_compound_poisson(
         spec, n_paths, seed, horizon)
-    return _mode_probs(res.modes, (Mode.JUMP_HIT, Mode.JUMP_OVER, Mode.CENSORED))
+    return _mode_probs(res.modes, (Mode.JUMP_HIT, Mode.JUMP_OVER, Mode.CENSORED,
+                                   Mode.TOUCH_JUMP, Mode.CREEP))
 
 
 def compensator_martingale_check(spec: CompoundPoissonSpec, times,

@@ -44,9 +44,10 @@ class Mode(Enum):
 
 
 # int8 codes of the modes in the simulation engines' batch arrays, and the
-# inverse lookup the engines and estimators write and compare with
+# inverse lookup the engines and estimators write and compare with. A compound
+# Poisson path reaches code 4, touch_jump, only through the EPS_MODE tolerance.
 MODE_CODES = {0: Mode.CREEP, 1: Mode.JUMP_OVER, 2: Mode.CENSORED,
-              3: Mode.JUMP_HIT}
+              3: Mode.JUMP_HIT, 4: Mode.TOUCH_JUMP}
 CODE_OF = {mode: code for code, mode in MODE_CODES.items()}
 
 # crossings reached by touching the barrier from the left, vs across a gap
@@ -175,10 +176,6 @@ class PiecewisePath:
             segs.append(Segment(t0, t1, v0 - slope * t0, slope))
         return cls(tuple(segs), (), horizon if horizon is not None else times[-1])
 
-    @classmethod
-    def constant(cls, value: float, horizon: float) -> "PiecewisePath":
-        return cls((Segment(0.0, horizon, float(value), 0.0),), (), horizon)
-
 
 class Barrier:
     """Constant or piecewise-linear (tabulated, interpolated) barrier."""
@@ -186,7 +183,7 @@ class Barrier:
     def __init__(self, times: tuple[float, ...], values: tuple[float, ...]):
         if len(times) != len(values) or not times:
             raise StructuralError("barrier needs matching knot arrays")
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        if not all(t1 > t0 for t0, t1 in zip(times, times[1:])):
             raise StructuralError("barrier knots must strictly increase")
         self.times = tuple(float(t) for t in times)
         self.values = tuple(float(v) for v in values)
@@ -261,23 +258,24 @@ class AnnouncingReport:
 
 
 def _gap_pieces(path: PiecewisePath, barrier: Barrier):
-    """Affine pieces of Y = X - b on a merged partition of [0, horizon]."""
-    bar = barrier.pieces(path.horizon)
-    cuts = sorted({s.t_start for s in path.segments}
-                  | {s.t_end for s in path.segments}
-                  | {t for piece in bar for t in piece[:2]})
-    cuts = [t for t in cuts if 0.0 <= t <= path.horizon]
+    """Affine pieces of Y = X - b on a merged partition of [0, horizon].
+
+    One pass over the path's segments and the barrier's pieces, which both
+    tile [0, horizon], cuts at every breakpoint of either.
+    """
+    segs, bar = path.segments, barrier.pieces(path.horizon)
     pieces = []
-    for t0, t1 in zip(cuts, cuts[1:]):
-        seg = path.segments[path._segment_index(t0)]
-        bc = bm = None
-        for b0, b1, c, m in bar:
-            if b0 <= t0 and t1 <= b1:
-                bc, bm = c, m
-                break
-        if bc is None:  # unreachable once coverage is checked, kept defensive
-            raise StructuralError(f"no barrier piece covers [{t0!r}, {t1!r}]")
+    i = j = 0
+    t0 = 0.0
+    while i < len(segs):
+        seg, (_, b1, bc, bm) = segs[i], bar[j]
+        t1 = min(seg.t_end, b1)
         pieces.append((t0, t1, seg.intercept - bc, seg.slope - bm))
+        if seg.t_end == t1:
+            i += 1
+        if b1 == t1:
+            j += 1
+        t0 = t1
     return pieces
 
 

@@ -57,6 +57,7 @@ from .paths import (
     Mode,
     PiecewisePath,
     Segment,
+    classify_mode,
     first_passage,
 )
 
@@ -517,11 +518,13 @@ def run_paths(params: ModelParams, config: SimConfig,
     Every path draws from its own stream keyed by (seed, index), and the
     output arrays are ordered by index, so the result is bitwise identical
     for any worker count, block size or group width. `workers` of None
-    runs serially.
+    runs serially; a count below 1 raises StructuralError.
     """
+    nw = 1 if workers is None else int(workers)
+    if nw < 1:
+        raise StructuralError(f"workers must be at least 1, got {workers!r}")
     n = config.n_paths
     q_tuple = tuple(float(q) for q in q_list)
-    nw = max(1, int(workers or 1))
     tasks = [(s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
     results = []
     if nw == 1 or len(tasks) == 1:
@@ -720,7 +723,7 @@ class CpResult:
     spec: CompoundPoissonSpec
     horizon: float
     grid: np.ndarray
-    modes: np.ndarray        # int8 codes of jump_hit, jump_over, censored
+    modes: np.ndarray        # int8 codes, see paths.MODE_CODES
     taus: np.ndarray
     crossed_at: np.ndarray   # indicator 1{tau <= t}, shape (n, len(grid))
     comp_at: np.ndarray      # compensator at grid times, same shape
@@ -739,10 +742,12 @@ def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
                          grid: Sequence[float] = ()) -> CpResult:
     """Simulate n_paths compound Poisson paths with exact jump bookkeeping.
 
-    Crossing detection is exact (float comparison against the barrier), so a
-    lattice walk landing exactly on the level is a jump_hit. The compensator
-    uses the closed-tail intensity lam * P(U >= a - X_s) integrated along
-    the flat pieces up to min(t, tau).
+    A path crosses at its first post-jump level at or above the barrier.
+    classify_mode at EPS_MODE labels the crossing from the gaps just before
+    and after that jump, as first_passage does for the replayed path, so a
+    lattice walk landing within EPS_MODE of the level is a jump_hit. The
+    compensator uses the closed-tail intensity lam * P(U >= a - X_s)
+    integrated along the flat pieces up to min(t, tau).
     """
     grid = np.asarray(sorted(float(t) for t in grid))
     n_grid = grid.shape[0]
@@ -756,29 +761,24 @@ def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
     for i in range(n_paths):
         rng = stream.rekey(int(seed), _NS_CP, i)
         times, levels, did_cross = _cp_events(spec, rng, horizon)
+        # the level on each flat piece [0, t_1), [t_1, t_2), ...
+        flat_levels = [spec.start] + levels
         if did_cross:
             tau = times[-1]
-            end_level = levels[-1]
-            modes[i] = CODE_OF[Mode.JUMP_HIT if end_level == a
-                               else Mode.JUMP_OVER]
-            taus[i] = tau
+            rec = CrossingRecord(tau, flat_levels[-2] - a, flat_levels[-1] - a,
+                                 Mode.NO_CROSSING)
+            modes[i] = CODE_OF[classify_mode(rec)]
         else:
             tau = math.inf
             modes[i] = CODE_OF[Mode.CENSORED]
-            taus[i] = math.inf
+        taus[i] = tau
         if n_grid:
             crossed[i] = (grid >= tau) if math.isfinite(tau) else 0.0
-            # piecewise-constant level between jump epochs
-            seg_starts = [0.0] + times
-            seg_levels = [spec.start] + levels
-            if did_cross:
-                seg_starts = seg_starts[:-1]
-                seg_levels = seg_levels[:-1]
-                seg_ends = times[:-1] + [tau]
-            else:
-                seg_ends = times + [horizon]
+            # pieces end at the next jump; a censored path's last one at the
+            # horizon, while a crossed path stops at tau
+            ends = times if did_cross else times + [horizon]
             acc = np.zeros(n_grid)
-            for s0, s1, lvl in zip(seg_starts, seg_ends, seg_levels):
+            for s0, s1, lvl in zip([0.0] + times, ends, flat_levels):
                 rate = lam * spec.jump_law.tail(a - lvl)
                 if rate == 0.0:
                     continue

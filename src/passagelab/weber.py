@@ -137,9 +137,9 @@ def log_pcf_d(nu: float, z: float, rtol: float = TOL_PCF) -> float:
     return float(log_pcf_d_batch(nu, np.array([z]), rtol)[0])
 
 
-def pcf_d(nu: float, z: float, rtol: float = TOL_PCF) -> float:
+def pcf_d(nu: float, z: float) -> float:
     """Weber parabolic cylinder function D_nu(z), nu <= 0."""
-    return math.exp(log_pcf_d(nu, z, rtol))
+    return math.exp(log_pcf_d(nu, z))
 
 
 def _cheb_fit_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -69,7 +69,16 @@ def test_cp_code_table_covers_the_bench_lookups():
         assert simulate.CP_MODE_CODES[codes[mode]] is mode
 
 
-P, CFG, RES, Q, SPEC, N, SEED, HORIZON, GRID, LAT = (object() for _ in range(10))
+def test_one_mode_code_table():
+    Mode = paths.Mode
+    assert paths.MODE_CODES == {0: Mode.CREEP, 1: Mode.JUMP_OVER,
+                                2: Mode.CENSORED, 3: Mode.JUMP_HIT,
+                                4: Mode.TOUCH_JUMP}
+    assert simulate.CP_MODE_CODES is paths.MODE_CODES
+
+
+(P, CFG, RES, Q, SPEC, N, SEED, HORIZON, GRID, LAT, X, FN, SOL, VALUE, NU,
+ Z, PATH, BARRIER, REC, FNAME) = (object() for _ in range(20))
 
 # (function, positional arguments, keyword arguments) as the benchmark calls it
 BENCH_CALLS = [
@@ -87,6 +96,25 @@ BENCH_CALLS = [
     (simulate.run_compound_poisson, (SPEC, N, SEED, HORIZON), {"grid": GRID}),
     (simulate.simulate_compound_poisson, (SPEC, SEED, HORIZON),
      {"path_index": N}),
+    (analytic.g0, (P, X), {}),
+    (analytic.creeping_prob, (P, X), {}),
+    (analytic.boundary_slope, (P,), {}),
+    (analytic.homogeneous_basis, (P, Q), {}),
+    (analytic.oide_residual, (P, Q, FN, X), {}),
+    (analytic.compatibility_defect, (P, Q, FN), {}),
+    (analytic.solve_wq, (P, Q), {}),
+    (analytic.solve_wq, (P, Q, GRID), {}),
+    (analytic.gq_from_solution, (SOL, X), {}),
+    (analytic.g0_profile, (P, GRID), {}),
+    (analytic.robin_operator, (P, VALUE, VALUE), {}),
+    (weber.make_context, (P, Q), {}),
+    (weber.pcf_d, (NU, Z), {}),
+    (paths.first_passage, (PATH, BARRIER), {}),
+    (paths.restricted_times, (REC,), {}),
+    (paths.check_no_premature_contact, (PATH, BARRIER), {}),
+    (paths.announcing_sequence, (PATH, BARRIER), {"n_max": N}),
+    (paths.save_path, (PATH, FNAME), {}),
+    (paths.load_path, (FNAME,), {}),
 ]
 
 

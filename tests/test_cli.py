@@ -190,6 +190,20 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert "error: structural" in err and "workers" in err
 
+    def test_worker_flag_below_one_is_rejected(self, capsys):
+        for value in ("-3", "0"):
+            code, out, err = run_cli(capsys, "simulate", *TINY_SIM,
+                                     "--workers", value)
+            assert code == 1 and out == ""
+            assert "error: structural" in err and "workers" in err
+
+    def test_worker_variable_below_one_is_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("PASSAGELAB_WORKERS", "0")
+        code, out, err = run_cli(capsys, "classify", "--corpus",
+                                 "touch_and_jump")
+        assert code == 1 and out == ""
+        assert "error: structural" in err and "workers" in err
+
 
 class TestTable:
     def test_comparison_row(self, capsys):

@@ -21,6 +21,7 @@ from passagelab.paths import CODE_OF, Mode
 from passagelab.simulate import (
     CompoundPoissonSpec,
     ExponentialJumps,
+    LatticeJumps,
     ModelParams,
     SimConfig,
     run_compound_poisson,
@@ -131,6 +132,18 @@ class TestCompoundPoisson:
         total = sum(e.mean for e in probs.values())
         assert total == pytest.approx(1.0, abs=1e-12)
         assert probs[Mode.JUMP_HIT].mean == 0.0  # diffuse law, no exact hits
+
+    def test_mode_probs_cover_every_compound_poisson_code(self):
+        # 0.1 steps stop 1e-16 below 0.8 and then jump over: touch_jump
+        spec = CompoundPoissonSpec(intensity=1.0,
+                                   jump_law=LatticeJumps((0.1,), (1.0,)),
+                                   barrier_level=0.8, start=0.0)
+        res = run_compound_poisson(spec, 200, seed=1, horizon=50.0)
+        probs = estimate_cp_mode_probs(spec, 200, 1, 50.0, result=res)
+        assert list(probs) == [Mode.JUMP_HIT, Mode.JUMP_OVER, Mode.CENSORED,
+                               Mode.TOUCH_JUMP, Mode.CREEP]
+        assert probs[Mode.TOUCH_JUMP].mean == 1.0
+        assert sum(e.mean for e in probs.values()) == 1.0
 
     def test_martingale_deviations_within_noise(self, cp_batch):
         spec, grid, res = cp_batch

@@ -110,6 +110,12 @@ class TestBarrier:
         with pytest.raises(StructuralError):
             Barrier((0.0, 0.0), (1.0, 2.0))
 
+    def test_nan_knot_rejected(self):
+        # a nan knot compares false both ways, and its pieces would leave a
+        # gap in the tiling of [0, horizon]
+        with pytest.raises(StructuralError):
+            Barrier((0.0, math.nan, 10.0), (1.0, 2.0, 3.0))
+
 
 class TestFirstPassage:
     def test_interior_root_is_exact(self):
@@ -352,6 +358,19 @@ def _sample_times(path: PiecewisePath, seed: int) -> np.ndarray:
                                      knots)))
 
 
+def _moving_barrier(path: PiecewisePath, seed: int) -> Barrier:
+    """Piecewise-linear barrier around 0 with knots at about half the path's
+    segment boundaries and at 1-3 times in between; the first knot is at or
+    before 0 and the last at or past the horizon."""
+    rng = np.random.default_rng([seed, 1])
+    knots = {float(rng.choice([0.0, -1.0])),
+             path.horizon + float(rng.choice([0.0, 1.0]))}
+    knots.update(s.t_start for s in path.segments[1:] if rng.random() < 0.5)
+    knots.update(rng.uniform(0.0, path.horizon, int(rng.integers(1, 4))))
+    knots = sorted(knots)
+    return Barrier(tuple(knots), tuple(rng.uniform(-0.5, 0.5, len(knots))))
+
+
 class TestPathProperties:
     @_PROPERTY
     @given(seed=_SEEDS, compliant=st.booleans())
@@ -373,17 +392,23 @@ class TestPathProperties:
         assert np.all(np.diff(s) >= 0.0)
         assert np.all(s >= y)
 
-    @_PROPERTY
-    @given(seed=_SEEDS, compliant=st.booleans())
-    def test_first_passage_agrees_with_dense_sampling(self, seed, compliant):
+    # twice the examples, so each barrier kind gets about as many as the
+    # other property tests
+    @settings(_PROPERTY, max_examples=2 * _PROPERTY.max_examples)
+    @given(seed=_SEEDS, compliant=st.booleans(), moving=st.booleans())
+    def test_first_passage_agrees_with_dense_sampling(self, seed, compliant,
+                                                      moving):
         path = _draw(seed, compliant)
-        tau = first_passage(path, ZERO).tau
-        ts = _sample_times(path, seed)
+        barrier = _moving_barrier(path, seed) if moving else ZERO
+        tau = first_passage(path, barrier).tau
+        ts = np.union1d(_sample_times(path, seed),
+                        [t for t in barrier.times if 0.0 <= t <= path.horizon])
+        gap = lambda t: path.value(t) - barrier.value(t)
         before = ts[ts < tau]
-        assert all(path.value(float(t)) < 0.0 for t in before)
+        assert all(gap(float(t)) < 0.0 for t in before)
         if math.isfinite(tau):
             # a jump or an exact hit at tau, or a continuous arrival at 0
-            assert path.value(tau) >= 0.0 \
-                or abs(path.left_limit(tau)) <= EPS_MODE
+            assert gap(tau) >= 0.0 \
+                or abs(path.left_limit(tau) - barrier.value(tau)) <= EPS_MODE
         else:
             assert before.size == ts.size

@@ -230,6 +230,11 @@ class TestEngine:
         assert np.array_equal(a.overshoots, b.overshoots, equal_nan=True)
         assert np.array_equal(a.comp, b.comp)
 
+    def test_worker_count_below_one_is_rejected(self):
+        for workers in (0, -2):
+            with pytest.raises(StructuralError):
+                run_paths(REF, self.CFG, workers=workers)
+
     def test_workers_none_runs_serially(self, monkeypatch):
         # the worker count is the caller's to set; run_paths reads no
         # environment, so no pool may start here
@@ -386,6 +391,24 @@ class TestCompoundPoisson:
             assert CODE_OF[rec.mode] == res.modes[i]
             if rec.mode is not Mode.CENSORED:
                 assert rec.tau == res.taus[i]
+
+    @pytest.mark.parametrize("barrier,mode", [(0.3, Mode.JUMP_HIT),
+                                              (0.8, Mode.TOUCH_JUMP)])
+    def test_lattice_batch_classifies_like_replay(self, barrier, mode):
+        # sums of 0.1 steps miss 0.3 by +6e-17 and 0.8 by -1e-16; the batch
+        # reads those landings with first_passage's tolerance
+        spec = CompoundPoissonSpec(intensity=1.0,
+                                   jump_law=LatticeJumps((0.1,), (1.0,)),
+                                   barrier_level=barrier, start=0.0)
+        res = run_compound_poisson(spec, 200, seed=1, horizon=50.0)
+        for i in range(200):
+            _, rec = simulate_compound_poisson(spec, seed=1, horizon=50.0,
+                                               path_index=i)
+            replayed = Mode.CENSORED if rec.mode is Mode.NO_CROSSING \
+                else rec.mode
+            assert simulate.CP_MODE_CODES[int(res.modes[i])] is replayed
+            assert res.taus[i] == rec.tau
+        assert np.all(res.modes == CODE_OF[mode])
 
     def test_compensator_linear_before_first_jump(self):
         lam, rate = 2.0, 3.0
