@@ -48,7 +48,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     UniformJumps,
-    bridge_crossing_prob,
     ou_exact_step,
     run_compound_poisson,
     run_paths,

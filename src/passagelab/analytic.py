@@ -100,10 +100,8 @@ class HomogeneousBasis:
         """d psi_q / dx by the exact cylinder-function derivative rule."""
         ctx = self.ctx
         z = ctx.z(x)
-        A = ctx.p_prime(x) + 0.5 * ctx.z1 * z
-        d0 = math.exp(log_pcf_d(ctx.nu_q, z))
-        d1 = math.exp(log_pcf_d(ctx.nu_q + 1.0, z))
-        return math.exp(ctx.p(x)) * (A * d0 - ctx.z1 * d1)
+        return _psi_prime_from(ctx, x, log_pcf_d(ctx.nu_q, z),
+                               log_pcf_d(ctx.nu_q + 1.0, z))
 
     def chi_prime(self, x) -> float:
         ctx = self.ctx
@@ -116,6 +114,14 @@ class HomogeneousBasis:
         return math.exp(ctx.p(x)) * (
             A * (d0m + self.ratio * d0p)
             + ctx.z1 * d1m - self.ratio * ctx.z1 * d1p)
+
+
+def _psi_prime_from(ctx: WeberContext, x: float, log_d0: float,
+                    log_d1: float) -> float:
+    """d psi_q / dx at x, given log D_nu(z(x)) and log D_{nu+1}(z(x))."""
+    A = ctx.p_prime(x) + 0.5 * ctx.z1 * ctx.z(x)
+    return math.exp(ctx.p(x)) * (A * math.exp(log_d0)
+                                 - ctx.z1 * math.exp(log_d1))
 
 
 def robin_operator(params: ModelParams, value_at_a: float,
@@ -141,42 +147,40 @@ def homogeneous_basis(params: ModelParams, q: float) -> HomogeneousBasis:
     # Wronskian at the barrier splits off exp(2p); both cross terms positive
     log_scale = math.log(-ctx.z1) + np.logaddexp(
         l_d0_pos + l_d1_neg, l_d0_neg + l_d1_pos)
-    basis = HomogeneousBasis(params, float(q), ctx, math.exp(log_ratio),
-                             float(log_ratio), float(log_scale), 0.0)
-    basis.boundary_psi = robin_operator(
-        params, float(basis.psi_q(params.a)), basis.psi_prime(params.a))
-    return basis
+    boundary_psi = robin_operator(
+        params, float(np.exp(ctx.p(params.a) + l_d0_pos)),
+        _psi_prime_from(ctx, params.a, l_d0_pos, l_d1_pos))
+    return HomogeneousBasis(params, float(q), ctx, math.exp(log_ratio),
+                            float(log_ratio), float(log_scale), boundary_psi)
 
 
 # ---------------------------------------------------------------------------
 # closed forms at q = 0 and the inhomogeneous seed for general q
 
-def _log_w0_batch(params: ModelParams, q: float, xs: np.ndarray) -> np.ndarray:
-    """log |w0(x)|; w0 itself is negative (the transform decreases in x)."""
-    ctx = make_context(params, q)
-    return _log_w0_from(params, ctx, xs, log_pcf_d_batch(ctx.nu_q, ctx.z(xs)))
+def _log_w0_fn(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
+    """xs -> log |w0(xs)| at q = 0, with the context and log D_{nu+1}(z(a))
+    evaluated once; w0 itself is negative (the transform decreases in x)."""
+    ctx = make_context(params, 0.0)
+    log_d1_a = log_pcf_d(ctx.nu_q + 1.0, ctx.z(params.a))
+    return lambda xs: _log_w0_from(params, ctx, xs,
+                                   log_pcf_d_batch(ctx.nu_q, ctx.z(xs)),
+                                   log_d1_a)
 
 
 def _log_w0_from(params: ModelParams, ctx: WeberContext, xs: np.ndarray,
-                 log_d: np.ndarray) -> np.ndarray:
-    """log |w0| at xs, given log D_nu(z(xs))."""
+                 log_d: np.ndarray, log_d1_a: float) -> np.ndarray:
+    """log |w0| at xs, given log D_nu(z(xs)) and log D_{nu+1}(z(a))."""
     a = params.a
-    la = log_pcf_d(ctx.nu_q + 1.0, ctx.z(a))
     pref = math.log(math.sqrt(2.0) * params.lam
                     / (params.sigma * math.sqrt(ctx.b)))
-    return pref + ctx.p(xs) - ctx.p(a) + log_d - la
-
-
-def w0_term(params: ModelParams, q: float, x: float) -> float:
-    """Seed of the fixed point: the exact w_q for q = 0, evaluated at x."""
-    return -float(np.exp(_log_w0_batch(params, float(q), np.array([float(x)]))[0]))
+    return pref + ctx.p(xs) - ctx.p(a) + log_d - log_d1_a
 
 
 def g0_prime(params: ModelParams, x: float) -> float:
     """Derivative in x of the undiscounted jump-crossing probability."""
     if x > params.a:
         raise StructuralError(f"x = {x!r} must not exceed the barrier")
-    return w0_term(params, 0.0, x)
+    return -float(np.exp(_log_w0_fn(params)(np.array([float(x)]))[0]))
 
 
 def g0(params: ModelParams, x: float) -> float:
@@ -185,9 +189,10 @@ def g0(params: ModelParams, x: float) -> float:
         raise StructuralError(f"x = {x!r} must not exceed the barrier")
     if x == params.a:
         return 0.0
+    log_w0 = _log_w0_fn(params)
 
     def integrand(ys):
-        return np.exp(_log_w0_batch(params, 0.0, np.asarray(ys)))
+        return np.exp(log_w0(np.asarray(ys)))
 
     return composite_gl(integrand, x, params.a, rtol=1e-12)
 
@@ -208,7 +213,7 @@ def g0_profile(params: ModelParams, grid: Sequence[float]) -> np.ndarray:
     half = 0.5 * np.diff(xs)
     offset = half / math.sqrt(3.0)
     nodes = np.concatenate([mid - offset, mid + offset])
-    vals = np.exp(_log_w0_batch(params, 0.0, nodes)).reshape(2, -1)
+    vals = np.exp(_log_w0_fn(params)(nodes)).reshape(2, -1)
     cell = half * (vals[0] + vals[1])
     out = np.zeros_like(xs)
     out[:-1] = np.cumsum(cell[::-1])[::-1]
@@ -346,15 +351,17 @@ def solve_wq(params: ModelParams, q: float,
 class _WeberTables:
     """The Weber functions one solve_wq call reads, for x in [x_lo, a].
 
-    Holds the LogPcfTable of D_nu(+z) and, for q > 0, that of D_nu(-z)
-    together with the homogeneous basis; psi, chi and w0 are formed from
-    the table values by the same formulas the closed forms use.
+    Holds log D_{nu+1}(z(a)), the LogPcfTable of D_nu(+z) and, for q > 0,
+    that of D_nu(-z) together with the homogeneous basis; psi, chi and w0
+    are formed from the table values by the same formulas the closed forms
+    use.
     """
 
     def __init__(self, params: ModelParams, q: float, x_lo: float):
         self.params, self.q = params, q
         self.ctx = make_context(params, q)
         z_lo, z_hi = self.ctx.z(params.a), self.ctx.z(x_lo)
+        self.log_d1_a = log_pcf_d(self.ctx.nu_q + 1.0, z_lo)
         self.pos = LogPcfTable(self.ctx.nu_q, z_lo, z_hi)
         fits = [self.pos]
         self.neg = self.basis = None
@@ -377,7 +384,8 @@ def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
     a = params.a
     xs = np.linspace(x_min, a, n_cells + 1)
     ld_nodes, ld_neg_nodes = tables.log_d(xs)
-    w0 = -np.exp(_log_w0_from(params, tables.ctx, xs, ld_nodes))
+    w0 = -np.exp(_log_w0_from(params, tables.ctx, xs, ld_nodes,
+                              tables.log_d1_a))
     if q == 0.0:
         return VolterraSolution(params, q, xs, w0.copy(), w0, (0.0,), True,
                                 None, tables.rel_error, tables.fit_nodes)

@@ -302,8 +302,8 @@ def _cmd_closed_form(rc: RunConfig, args) -> tuple[str, int]:
              _run_line(rc), f"# boundary_slope = {_fmt(slope)}",
              "x\tg0\tcreep_prob"]
     for x in rc.x_list:
-        lines.append(_row(x, analytic.g0(rc.model, x),
-                          analytic.creeping_prob(rc.model, x)))
+        g = analytic.g0(rc.model, x)
+        lines.append(_row(x, g, 1.0 - g))
     return "\n".join(lines) + "\n", 0
 
 

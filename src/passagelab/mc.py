@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import expm1, kolmogorov
 
 from .errors import StructuralError, UnderSampleError
 from .paths import CODE_OF, Mode
@@ -160,7 +160,9 @@ def overshoot_law_test(params: ModelParams, config: SimConfig,
                        min_samples: int = 1000) -> OvershootTest:
     """KS test of the overshoot against its predicted exponential law.
 
-    Also reports the sample correlation between the overshoot and the
+    The two-sided statistic and its asymptotic (Kolmogorov) p-value are
+    those of scipy.stats.kstest(..., method="asymp"), bit for bit. Also
+    reports the sample correlation between the overshoot and the
     level the path jumped from, which the memoryless property makes zero
     in truth. Raises UnderSampleError when fewer than min_samples paths
     crossed by a jump.
@@ -173,11 +175,14 @@ def overshoot_law_test(params: ModelParams, config: SimConfig,
             f"only {n} jump crossings, need {min_samples} for the law test")
     osh = res.overshoots[over]
     levels = res.pre_jump_levels[over]
-    ks = stats.kstest(osh, "expon", args=(0.0, 1.0 / params.eta),
-                      method="asymp")
+    # the cdf divides by the scale 1/eta, as scipy does; multiplying by eta
+    # moves last bits
+    cdf = -expm1(-np.sort(osh) / (1.0 / params.eta))
+    ks = max(np.max(np.arange(1.0, n + 1) / n - cdf),
+             np.max(cdf - np.arange(0.0, n) / n))
     corr = float(np.corrcoef(osh, levels)[0, 1])
-    return OvershootTest(n, float(ks.statistic), float(ks.pvalue), corr,
-                         float(osh.mean()))
+    return OvershootTest(n, float(ks), float(kolmogorov(ks * math.sqrt(n))),
+                         corr, float(osh.mean()))
 
 
 def estimate_overshoot_moments(params: ModelParams, config: SimConfig,

@@ -161,21 +161,6 @@ class PiecewisePath:
             return self.segments[i - 1].value(t)
         return s.value(t)
 
-    @classmethod
-    def from_samples(cls, times, values, horizon=None) -> "PiecewisePath":
-        """Continuous path through sample points, linearly interpolated."""
-        times = [float(t) for t in times]
-        values = [float(v) for v in values]
-        if len(times) != len(values) or len(times) < 2:
-            raise StructuralError("need matching times/values, at least two")
-        segs = []
-        for (t0, v0), (t1, v1) in zip(zip(times, values), zip(times[1:], values[1:])):
-            if t1 <= t0:
-                raise StructuralError("sample times must increase")
-            slope = (v1 - v0) / (t1 - t0)
-            segs.append(Segment(t0, t1, v0 - slope * t0, slope))
-        return cls(tuple(segs), (), horizon if horizon is not None else times[-1])
-
 
 class Barrier:
     """Constant or piecewise-linear (tabulated, interpolated) barrier."""

@@ -175,20 +175,8 @@ def ou_exact_step(x, dt, noise, params: ModelParams):
 
 
 def _bridge_prob(y0, y1, sigma: float, dt):
+    """P(Brownian bridge from gap y0 to gap y1 over dt reaches 0), both < 0."""
     return np.exp(-2.0 * y0 * y1 / (sigma * sigma * dt))
-
-
-def bridge_crossing_prob(y0, y1, sigma: float, dt):
-    """P(Brownian bridge from y0 to y1 over dt reaches 0), both ends below.
-
-    y0, y1 are gaps to the barrier (negative). Vectorised; the exponent is
-    always <= 0 so the result lies in [0, 1] without clipping.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    if np.any(y0 >= 0.0) or np.any(y1 >= 0.0):
-        raise StructuralError("bridge endpoints must lie strictly below the barrier")
-    return _bridge_prob(y0, y1, sigma, dt)
 
 
 class _StepTables:

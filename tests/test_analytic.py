@@ -24,7 +24,6 @@ from passagelab.analytic import (
     oide_residual,
     robin_operator,
     solve_wq,
-    w0_term,
 )
 from passagelab.errors import StructuralError
 from passagelab.simulate import ModelParams
@@ -281,8 +280,29 @@ class TestResiduals:
 
 
 def test_seed_term_sign_and_consistency():
-    assert w0_term(REF, 0.0, 0.3) == g0_prime(REF, 0.3)
-    assert w0_term(REF, 0.2, 0.3) < 0.0
+    grid = VolterraGrid(n_cells=64, truncation_check=False)
+    assert np.all(solve_wq(REF, 0.2, grid).w0_values < 0.0)
+    at_zero = solve_wq(REF, 0.0, grid)
+    assert at_zero.w0_values[32] == pytest.approx(
+        g0_prime(REF, at_zero.grid[32]), rel=1e-9)
+
+
+def test_closed_forms_evaluate_each_scalar_cylinder_value_once(monkeypatch):
+    # the benchmark counts scalar quadratures by wrapping this attribute
+    calls = []
+
+    def counted(nu, z, *args, **kwargs):
+        calls.append((nu, z))
+        return log_pcf_d(nu, z, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "log_pcf_d", counted)
+    for run, want in ((lambda: g0(REF, 0.0), 1),
+                      (lambda: boundary_slope(REF), 1),
+                      (lambda: homogeneous_basis(REF, 0.05), 4)):
+        calls.clear()
+        run()
+        assert len(calls) == want
+        assert len(set(calls)) == want
 
 
 # ---------------------------------------------------------------------------

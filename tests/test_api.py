@@ -7,6 +7,9 @@ benchmark; these tests make it fail here first.
 """
 
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,8 +26,8 @@ def test_public_names_are_pinned():
         "ResonanceError", "Segment", "SimConfig", "SimResult",
         "StructuralError", "UnderSampleError", "UniformJumps",
         "UnsupportedRegimeError", "WeberContext", "announcing_sequence",
-        "bridge_crossing_prob", "check_no_premature_contact", "classify_mode",
-        "errors", "first_passage", "load_corpus", "load_path", "log_pcf_d",
+        "check_no_premature_contact", "classify_mode", "errors",
+        "first_passage", "load_corpus", "load_path", "log_pcf_d",
         "make_context", "ou_exact_step", "paths", "pcf_d", "quad",
         "restricted_times", "run_compound_poisson", "run_paths",
         "running_supremum", "save_path", "simulate",
@@ -123,3 +126,14 @@ BENCH_CALLS = [
                               for fn, a, kw in BENCH_CALLS])
 def test_bench_call_shapes_bind(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_import_leaves_scipy_stats_out():
+    # mc needs one KS statistic, not the start-up cost of all of scipy.stats
+    code = ("import sys, passagelab, passagelab.mc, passagelab.acceptance, "
+            "passagelab.cli; print('scipy.stats' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(passagelab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -114,6 +114,15 @@ class TestOvershoots:
         assert abs(test.level_correlation) <= 5.0 / math.sqrt(test.n)
         assert test.mean_overshoot == pytest.approx(1.0 / REF.eta, rel=0.1)
 
+    def test_statistic_matches_scipy_kstest(self, batch):
+        from scipy import stats
+        test = overshoot_law_test(REF, CFG, result=batch, min_samples=200)
+        over = batch.modes == CODE_OF[Mode.JUMP_OVER]
+        want = stats.kstest(batch.overshoots[over], "expon",
+                            args=(0.0, 1.0 / REF.eta), method="asymp")
+        assert test.ks_statistic == float(want.statistic)
+        assert test.p_value == float(want.pvalue)
+
     def test_under_sampling_raises(self, batch):
         with pytest.raises(UnderSampleError):
             overshoot_law_test(REF, CFG, result=batch, min_samples=10 ** 7)

@@ -81,12 +81,6 @@ class TestValidation:
         path = ramp_path(-1.0, 0.5)
         assert path.left_limit(0.0) == path.value(0.0) == -1.0
 
-    def test_from_samples_interpolates(self):
-        path = PiecewisePath.from_samples([0.0, 1.0, 3.0], [0.0, 2.0, -2.0])
-        assert path.value(0.5) == pytest.approx(1.0)
-        assert path.value(2.0) == pytest.approx(0.0)
-        assert path.horizon == 3.0
-
 
 class TestBarrier:
     def test_constant(self):
@@ -213,7 +207,8 @@ class TestClassifyMode:
 
 class TestRunningSupremum:
     def test_ramp_then_flat(self):
-        path = PiecewisePath.from_samples([0.0, 2.0, 4.0], [-2.0, 0.0, -2.0])
+        segs = (Segment(0.0, 2.0, -2.0, 1.0), Segment(2.0, 4.0, 2.0, -1.0))
+        path = PiecewisePath(segs, (), 4.0)
         sup = running_supremum(path, ZERO)
         assert sup.value(1.0) == pytest.approx(-1.0)
         assert sup.value(3.0) == pytest.approx(0.0)

@@ -23,7 +23,7 @@ from passagelab.simulate import (
     _path_rng,
     _StepTables,
     _Stream,
-    bridge_crossing_prob,
+    _bridge_prob,
     cp_to_path,
     ou_exact_step,
     run_compound_poisson,
@@ -190,14 +190,10 @@ def _cn_survival(y0: float, a: float, sigma: float, dt: float,
 
 
 class TestBridge:
-    def test_validates_side(self):
-        with pytest.raises(StructuralError):
-            bridge_crossing_prob(0.5, -0.5, 0.3, 0.01)
-
     def test_limits(self):
-        tiny = bridge_crossing_prob(-3.0, -3.0, 0.3, 1e-3)
+        tiny = _bridge_prob(-3.0, -3.0, 0.3, 1e-3)
         assert tiny < 1e-200 or tiny == 0.0
-        near = bridge_crossing_prob(-1e-9, -1e-9, 0.3, 1e-3)
+        near = _bridge_prob(-1e-9, -1e-9, 0.3, 1e-3)
         assert near == pytest.approx(1.0, abs=1e-6)
 
     def test_unconditional_crossing_matches_pde(self):
@@ -211,7 +207,7 @@ class TestBridge:
 
             def integrand(v):
                 return norm.pdf(v, loc=y0, scale=sd) \
-                    * bridge_crossing_prob(y0 - a, v - a, sigma, dt)
+                    * _bridge_prob(y0 - a, v - a, sigma, dt)
 
             below, _err = quad(integrand, y0 - 10.0 * sd, a, limit=200)
             hit = below + float(norm.sf(a, loc=y0, scale=sd))
