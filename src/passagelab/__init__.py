@@ -41,13 +41,11 @@ from .paths import (
 )
 from .simulate import (
     CompoundPoissonSpec,
-    DegenerateJumps,
     ExponentialJumps,
     LatticeJumps,
     ModelParams,
     SimConfig,
     SimResult,
-    UniformJumps,
     ou_exact_step,
     run_compound_poisson,
     run_paths,

@@ -228,10 +228,10 @@ def _solver_line(g: analytic.VolterraGrid) -> str:
             f"max_iter={g.max_iter}")
 
 
-def _run_line(rc: RunConfig) -> str:
-    qs = ",".join(_fmt(q) for q in rc.q_list)
-    xs = ",".join(_fmt(x) for x in rc.x_list)
-    return f"# run q_list={qs} x_list={xs}"
+def _run_line(rc: RunConfig, *keys: str) -> str:
+    """The [run] lists a command reads, and only those."""
+    return "# run " + " ".join(
+        f"{key}={','.join(_fmt(v) for v in getattr(rc, key))}" for key in keys)
 
 
 def _row(*cells) -> str:
@@ -276,7 +276,7 @@ def _cmd_classify(rc: RunConfig, args) -> tuple[str, int]:
 def _cmd_simulate(rc: RunConfig, args) -> tuple[str, int]:
     result = run_paths(rc.model, rc.sim, q_list=rc.q_list, workers=rc.workers)
     lines = ["# passagelab simulate", _model_line(rc.model),
-             _sim_line(rc.sim), _run_line(rc),
+             _sim_line(rc.sim), _run_line(rc, "q_list"),
              "metric\tq\testimate\tstd_error\tn"]
     probs = mc.estimate_mode_probs(rc.model, rc.sim, result)
     for mode, est in probs.items():
@@ -299,7 +299,7 @@ def _cmd_simulate(rc: RunConfig, args) -> tuple[str, int]:
 def _cmd_closed_form(rc: RunConfig, args) -> tuple[str, int]:
     slope = analytic.boundary_slope(rc.model)
     lines = ["# passagelab closed-form", _model_line(rc.model),
-             _run_line(rc), f"# boundary_slope = {_fmt(slope)}",
+             _run_line(rc, "x_list"), f"# boundary_slope = {_fmt(slope)}",
              "x\tg0\tcreep_prob"]
     for x in rc.x_list:
         g = analytic.g0(rc.model, x)
@@ -318,7 +318,7 @@ def _solved(rc: RunConfig, q: float) -> analytic.VolterraSolution:
 
 def _cmd_volterra(rc: RunConfig, args) -> tuple[str, int]:
     lines = ["# passagelab volterra", _model_line(rc.model),
-             _solver_line(rc.solver), _run_line(rc),
+             _solver_line(rc.solver), _run_line(rc, "q_list", "x_list"),
              "q\tx\tgq\titerations\tsup_delta\ttruncation_error\tconverged"]
     for q in rc.q_list:
         sol = _solved(rc, q)
@@ -334,7 +334,7 @@ def _cmd_volterra(rc: RunConfig, args) -> tuple[str, int]:
 def _cmd_table(rc: RunConfig, args) -> tuple[str, int]:
     result = run_paths(rc.model, rc.sim, q_list=rc.q_list, workers=rc.workers)
     lines = ["# passagelab table", _model_line(rc.model), _sim_line(rc.sim),
-             _solver_line(rc.solver), _run_line(rc),
+             _solver_line(rc.solver), _run_line(rc, "q_list"),
              "x\tq\tgq_ref\tgq_indicator\tse_indicator\tz_indicator"
              "\tgq_compensator\tse_compensator\tz_compensator"]
     x0 = rc.model.x
@@ -355,6 +355,15 @@ def _cmd_table(rc: RunConfig, args) -> tuple[str, int]:
 
 
 def _cmd_verify(rc: RunConfig, args) -> tuple[str, int]:
+    # the suite always bridges and solves on the default grid, so a setting
+    # of these keys would be silently ignored
+    ignored = [] if rc.sim.bridge_correction else ["[sim] bridge_correction"]
+    ref = analytic.VolterraGrid()
+    ignored += [f"[solver] {f.name}" for f in fields(ref)
+                if getattr(rc.solver, f.name) != getattr(ref, f.name)]
+    if ignored:
+        raise StructuralError("verify runs at the reference bridge correction "
+                              f"and solver grid; drop {', '.join(ignored)}")
     report = run_acceptance(rc.verify_settings, workers=rc.workers)
     for line in report.timing_lines():
         print(line, file=sys.stderr)

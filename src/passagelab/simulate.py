@@ -549,28 +549,18 @@ def simulate_crossing(params: ModelParams, config: SimConfig, q: float = 0.0,
 # compound Poisson model (piecewise-constant paths, general jump law)
 
 class JumpLaw:
-    """Interface: sample sizes and evaluate the closed upper tail P(U >= y)."""
+    """Interface of a positive jump law: one draw, and the closed upper tail.
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    draw(rng) returns one jump size from rng; tail(y) is P(U >= y), the
+    intensity factor of the compensator. LatticeJumps and ExponentialJumps
+    implement it.
+    """
+
+    def draw(self, rng: np.random.Generator) -> float:
         raise NotImplementedError
 
     def tail(self, y: float) -> float:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class DegenerateJumps(JumpLaw):
-    size: float
-
-    def __post_init__(self):
-        if not self.size > 0.0:
-            raise StructuralError("jump size must be positive")
-
-    def sample(self, rng, n):
-        return np.full(n, self.size)
-
-    def tail(self, y):
-        return 1.0 if y <= self.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -586,9 +576,9 @@ class LatticeJumps(JumpLaw):
         if abs(sum(self.probs) - 1.0) > 1e-12 or any(p < 0 for p in self.probs):
             raise StructuralError("probs must be a probability vector")
 
-    def sample(self, rng, n):
-        idx = rng.choice(len(self.values), size=n, p=np.asarray(self.probs))
-        return np.asarray(self.values)[idx]
+    def draw(self, rng):
+        return float(self.values[rng.choice(len(self.values),
+                                            p=np.asarray(self.probs))])
 
     def tail(self, y):
         return float(sum(p for v, p in zip(self.values, self.probs) if v >= y))
@@ -602,31 +592,11 @@ class ExponentialJumps(JumpLaw):
         if not self.rate > 0.0:
             raise StructuralError("rate must be positive")
 
-    def sample(self, rng, n):
-        return rng.exponential(1.0 / self.rate, size=n)
+    def draw(self, rng):
+        return rng.exponential(1.0 / self.rate)
 
     def tail(self, y):
         return 1.0 if y <= 0.0 else math.exp(-self.rate * y)
-
-
-@dataclass(frozen=True)
-class UniformJumps(JumpLaw):
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi):
-            raise StructuralError("need 0 <= lo < hi")
-
-    def sample(self, rng, n):
-        return rng.uniform(self.lo, self.hi, size=n)
-
-    def tail(self, y):
-        if y <= self.lo:
-            return 1.0
-        if y >= self.hi:
-            return 0.0
-        return (self.hi - y) / (self.hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -648,7 +618,9 @@ def _cp_events(spec: CompoundPoissonSpec, rng: np.random.Generator,
     """Jump times and post-jump levels until crossing or horizon.
 
     Returns (times, levels, crossed) where levels[k] is the value right
-    after times[k]; the walk stops at the first level >= barrier.
+    after times[k]; the walk stops at the first level >= barrier. Each event
+    draws the exponential gap to it, then, if it falls within the horizon,
+    one jump size from jump_law.draw.
     """
     t = 0.0
     x = spec.start
@@ -659,8 +631,7 @@ def _cp_events(spec: CompoundPoissonSpec, rng: np.random.Generator,
         t += rng.exponential(1.0 / spec.intensity)
         if t > horizon:
             break
-        u = float(spec.jump_law.sample(rng, 1)[0])
-        x = x + u
+        x = x + spec.jump_law.draw(rng)
         times.append(t)
         levels.append(x)
         if x >= spec.barrier_level:
@@ -706,19 +677,27 @@ def simulate_compound_poisson(spec: CompoundPoissonSpec, seed: int,
 
 @dataclass(eq=False)
 class CpResult:
-    """Batch summaries for the compound Poisson model on a time grid."""
+    """Batch summaries for the compound Poisson model on a time grid.
+
+    taus is inf on a censored path. crossed_at, the indicator 1{tau <= t}
+    of shape (n, len(grid)), is derived from taus and grid on each access,
+    so a censored row reads 0 throughout.
+    """
 
     spec: CompoundPoissonSpec
     horizon: float
     grid: np.ndarray
     modes: np.ndarray        # int8 codes, see paths.MODE_CODES
     taus: np.ndarray
-    crossed_at: np.ndarray   # indicator 1{tau <= t}, shape (n, len(grid))
-    comp_at: np.ndarray      # compensator at grid times, same shape
+    comp_at: np.ndarray      # compensator at grid times, shape (n, len(grid))
 
     @property
     def n(self) -> int:
         return self.modes.shape[0]
+
+    @property
+    def crossed_at(self) -> np.ndarray:
+        return (self.grid >= self.taus[:, None]).astype(float)
 
 
 # compound Poisson batches write codes from the same table as run_paths
@@ -741,7 +720,6 @@ def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
     n_grid = grid.shape[0]
     modes = np.empty(n_paths, dtype=np.int8)
     taus = np.empty(n_paths)
-    crossed = np.zeros((n_paths, n_grid))
     comp = np.zeros((n_paths, n_grid))
     lam = spec.intensity
     a = spec.barrier_level
@@ -761,7 +739,6 @@ def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
             modes[i] = CODE_OF[Mode.CENSORED]
         taus[i] = tau
         if n_grid:
-            crossed[i] = (grid >= tau) if math.isfinite(tau) else 0.0
             # pieces end at the next jump; a censored path's last one at the
             # horizon, while a crossed path stops at tau
             ends = times if did_cross else times + [horizon]
@@ -773,4 +750,4 @@ def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
                 overlap = np.clip(np.minimum(grid, s1) - s0, 0.0, None)
                 acc += rate * overlap
             comp[i] = acc
-    return CpResult(spec, horizon, grid, modes, taus, crossed, comp)
+    return CpResult(spec, horizon, grid, modes, taus, comp)

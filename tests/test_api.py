@@ -20,11 +20,11 @@ from passagelab import acceptance, analytic, mc, paths, simulate, weber
 def test_public_names_are_pinned():
     assert passagelab.__all__ == [
         "AccuracyError", "AnnouncingReport", "Barrier", "CompoundPoissonSpec",
-        "ConvergenceError", "CrossingRecord", "DegenerateJumps",
+        "ConvergenceError", "CrossingRecord",
         "ExponentialJumps", "InconsistencyError", "Jump", "LatticeJumps",
         "Mode", "ModelParams", "NumericalError", "PiecewisePath",
         "ResonanceError", "Segment", "SimConfig", "SimResult",
-        "StructuralError", "UnderSampleError", "UniformJumps",
+        "StructuralError", "UnderSampleError",
         "UnsupportedRegimeError", "WeberContext", "announcing_sequence",
         "check_no_premature_contact", "classify_mode", "errors",
         "first_passage", "load_corpus", "load_path", "log_pcf_d",

@@ -6,12 +6,16 @@ where the overshoot criterion honestly fails and the exit code must be 3.
 """
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from passagelab import cli
 from passagelab.acceptance import AcceptanceSettings
 from passagelab.analytic import VolterraGrid
 from passagelab.cli import _build_parser, main, resolve_config
+from passagelab.errors import StructuralError
 from passagelab.paths import PiecewisePath, Segment, save_path
 
 TINY_SIM = ["--set", "sim.n_paths=600", "--set", "sim.step=0.005",
@@ -133,6 +137,12 @@ class TestClosedForm:
         assert code == 0
         assert report.read_bytes() == out.encode()
 
+    def test_run_line_echoes_only_x_list(self, capsys):
+        code, out, _ = run_cli(capsys, "closed-form",
+                               "--set", "run.q_list=0.2")
+        assert code == 0
+        assert "# run x_list=0\n" in out and "q_list" not in out
+
 
 class TestVolterra:
     def test_tiny_grid_value(self, capsys):
@@ -222,6 +232,16 @@ class TestTable:
             assert math.isclose(z, abs(est - ref) / se, rel_tol=1e-9)
             assert z < 4.0
 
+    def test_run_line_shows_only_the_keys_read(self, capsys):
+        # the row is computed at the model start point, whatever x_list says
+        code, out, _ = run_cli(capsys, "table", *TINY_SIM,
+                               "--set", "solver.n_cells=2048",
+                               "--set", "run.x_list=-1")
+        assert code == 0
+        assert "x_list=-1" not in out
+        assert "# run q_list=0.05\n" in out
+        assert table_rows(out)[0]["x"] == "0"
+
 
 class TestConfigResolution:
     def test_config_file_and_override_precedence(self, tmp_path, capsys):
@@ -268,6 +288,16 @@ class TestConfigResolution:
         assert rc.verify_settings == AcceptanceSettings()
         assert rc.solver == VolterraGrid()
 
+    def test_readme_config_is_the_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+        ini = tmp_path / "readme.ini"
+        ini.write_text(block)
+        parser = _build_parser()
+        from_readme = resolve_config(
+            parser.parse_args(["verify", "--config", str(ini)]))
+        assert from_readme == resolve_config(parser.parse_args(["verify"]))
+
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1 and err.startswith("error: usage")
@@ -289,3 +319,30 @@ class TestVerify:
         assert report.read_bytes() == out.encode()
         # timings go to stderr only
         assert "total" in err and "total" not in out
+
+    def test_ignored_settings_are_rejected(self, capsys):
+        # the suite fixes the bridge correction and the solver grid, so it
+        # refuses to run rather than print a report that ignores them
+        code, out, err = run_cli(
+            capsys, "verify", "--set", "sim.n_paths=2000",
+            "--set", "verify.cp_n_paths=20000",
+            "--set", "sim.bridge_correction=no",
+            "--set", "solver.n_cells=64", "--set", "solver.tol=1e-3")
+        assert code == 1 and out == ""
+        assert "error: structural" in err
+        for key in ("[sim] bridge_correction", "[solver] n_cells",
+                    "[solver] tol"):
+            assert key in err
+        assert "max_iter" not in err
+
+    def test_default_values_spelled_out_are_accepted(self, monkeypatch,
+                                                     capsys):
+        def stub(settings, workers):
+            raise StructuralError("suite reached")
+        monkeypatch.setattr(cli, "run_acceptance", stub)
+        code, _, err = run_cli(
+            capsys, "verify", "--set", "sim.bridge_correction=yes",
+            "--set", "solver.n_cells=16384", "--set", "solver.x_min=auto",
+            "--set", "solver.tol=1e-10", "--set", "solver.max_iter=100",
+            "--set", "solver.truncation_check=true")
+        assert code == 1 and "suite reached" in err

@@ -13,13 +13,11 @@ from passagelab.errors import StructuralError
 from passagelab.paths import CODE_OF, Mode, first_passage, Barrier
 from passagelab.simulate import (
     CompoundPoissonSpec,
-    DegenerateJumps,
     ExponentialJumps,
     LatticeJumps,
     ModelParams,
     SimConfig,
     STREAM_VERSION,
-    UniformJumps,
     _path_rng,
     _StepTables,
     _Stream,
@@ -355,7 +353,7 @@ class TestReplay:
 
 class TestCompoundPoisson:
     def test_degenerate_unit_jump_hits_exactly(self):
-        spec = CompoundPoissonSpec(intensity=1.0, jump_law=DegenerateJumps(1.0),
+        spec = CompoundPoissonSpec(intensity=1.0, jump_law=LatticeJumps((1.0,), (1.0,)),
                                    barrier_level=1.0, start=0.0)
         res = run_compound_poisson(spec, 500, seed=1, horizon=50.0)
         crossed = res.modes != CENSORED
@@ -363,7 +361,7 @@ class TestCompoundPoisson:
         assert np.all(res.modes[crossed] == JUMP_HIT)
 
     def test_degenerate_jump_overshoot_value(self):
-        spec = CompoundPoissonSpec(intensity=1.0, jump_law=DegenerateJumps(1.0),
+        spec = CompoundPoissonSpec(intensity=1.0, jump_law=LatticeJumps((1.0,), (1.0,)),
                                    barrier_level=1.5, start=0.0)
         path, rec = simulate_compound_poisson(spec, seed=3, horizon=100.0)
         assert rec.mode is Mode.JUMP_OVER
@@ -378,13 +376,15 @@ class TestCompoundPoisson:
     def test_path_route_agrees_with_batch(self):
         # replaying a batch member through the PiecewisePath machinery must
         # reproduce the batch classification and crossing time exactly
-        spec = CompoundPoissonSpec(intensity=1.5, jump_law=UniformJumps(0.2, 0.9),
+        spec = CompoundPoissonSpec(intensity=1.5, jump_law=ExponentialJumps(3.0),
                                    barrier_level=1.0, start=0.0)
         res = run_compound_poisson(spec, 40, seed=11, horizon=6.0)
         for i in range(40):
             _, rec = simulate_compound_poisson(spec, seed=11, horizon=6.0,
                                                path_index=i)
-            assert CODE_OF[rec.mode] == res.modes[i]
+            replayed = Mode.CENSORED if rec.mode is Mode.NO_CROSSING \
+                else rec.mode
+            assert CODE_OF[replayed] == res.modes[i]
             if rec.mode is not Mode.CENSORED:
                 assert rec.tau == res.taus[i]
 
@@ -423,7 +423,7 @@ class TestCompoundPoisson:
             assert float(vals.min()) == pytest.approx(want * t, rel=1e-12)
 
     def test_horizon_censoring(self):
-        spec = CompoundPoissonSpec(intensity=0.01, jump_law=DegenerateJumps(2.0),
+        spec = CompoundPoissonSpec(intensity=0.01, jump_law=LatticeJumps((2.0,), (1.0,)),
                                    barrier_level=1.0, start=0.0)
         res = run_compound_poisson(spec, 100, seed=9, horizon=0.5)
         assert np.all(np.isinf(res.taus[res.modes == CENSORED]))
@@ -431,17 +431,38 @@ class TestCompoundPoisson:
 
     def test_spec_validation(self):
         with pytest.raises(StructuralError):
-            CompoundPoissonSpec(intensity=1.0, jump_law=DegenerateJumps(1.0),
+            CompoundPoissonSpec(intensity=1.0, jump_law=LatticeJumps((1.0,), (1.0,)),
                                 barrier_level=0.0, start=0.0)
         with pytest.raises(StructuralError):
-            CompoundPoissonSpec(intensity=-1.0, jump_law=DegenerateJumps(1.0),
+            CompoundPoissonSpec(intensity=-1.0, jump_law=LatticeJumps((1.0,), (1.0,)),
                                 barrier_level=1.0, start=0.0)
 
-    def test_uniform_tail(self):
-        law = UniformJumps(0.2, 0.9)
-        assert law.tail(0.1) == 1.0
-        assert law.tail(0.9) == pytest.approx(0.0)
-        assert law.tail(0.55) == pytest.approx(0.5)
+    def test_stream_layout_is_pinned(self):
+        # values recorded from the per-path stream layout: one exponential
+        # waiting time, then one jump draw, per event
+        lat = run_compound_poisson(
+            CompoundPoissonSpec(1.0, LatticeJumps((1.0, 2.0), (0.5, 0.5)),
+                                1.0, 0.0), 6, seed=2026, horizon=8.0)
+        assert lat.modes.tolist() == [JUMP_OVER, JUMP_HIT, JUMP_OVER,
+                                      JUMP_HIT, JUMP_HIT, JUMP_OVER]
+        assert [float(t).hex() for t in lat.taus[:3]] == [
+            "0x1.5eb2a39b62dfap+2", "0x1.31f9477716bd9p+1",
+            "0x1.6ca81953a78b3p-1"]
+        exp = run_compound_poisson(
+            CompoundPoissonSpec(1.0, ExponentialJumps(2.0), 1.0, 0.0), 6,
+            seed=2026, horizon=8.0, grid=(0.5, 2.0, 8.0))
+        assert exp.modes.tolist() == [CENSORED] + [JUMP_OVER] * 5
+        assert [float(t).hex() for t in exp.taus[:3]] == [
+            "inf", "0x1.778a8bbb00939p+1", "0x1.554ed6e1ae36ep+0"]
+        assert [float(c).hex() for c in exp.comp_at[0]] == [
+            "0x1.152aaa3bf81ccp-4", "0x1.152aaa3bf81ccp-2",
+            "0x1.6d73536f506abp+0"]
+        assert [float(c).hex() for c in exp.comp_at[3]] == [
+            "0x1.6cdc8cd674fb0p-4", "0x1.140bde38bdf9ep-1",
+            "0x1.581a69810c572p+0"]
+        assert exp.crossed_at.tolist() == [
+            [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+            [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
 
     def test_lattice_tail_closed_above(self):
         law = LatticeJumps((1.0, 2.0), (0.5, 0.5))
@@ -452,7 +473,7 @@ class TestCompoundPoisson:
 
     def test_cp_path_exact_jump_bookkeeping(self):
         path = cp_to_path(
-            CompoundPoissonSpec(intensity=1.0, jump_law=DegenerateJumps(0.4),
+            CompoundPoissonSpec(intensity=1.0, jump_law=LatticeJumps((0.4,), (1.0,)),
                                 barrier_level=1.0, start=0.0),
             [1.0, 2.5], [0.4, 0.8], horizon=4.0)
         assert path.value(0.5) == 0.0
