@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ResonanceError, StructuralError
+from .errors import AccuracyError, ResonanceError, StructuralError
 from .quad import composite_gl, fd_derivative
 from .simulate import ModelParams
 from .weber import (
@@ -42,6 +42,10 @@ from .weber import (
 
 _LOG_EPS = math.log(1e-12)
 _RESONANCE_FLOOR = math.log(1e-10)
+# Largest truncation_error solve_wq returns: above the coarsest grids in use
+# at the reference model (1.7e-7 at n_cells=64, q = 0.05; at most 3.3e-6 at
+# n_cells=16, q <= 0.5), below first cuts too shallow (1.3e-5 up to 0.19).
+TRUNCATION_TOL = 1e-5
 
 
 @dataclass(eq=False)
@@ -239,13 +243,11 @@ _GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 @dataclass(frozen=True)
 class VolterraGrid:
-    """Discretisation controls for solve_wq."""
+    """Discretisation controls for solve_wq; it chooses the domain itself."""
 
     n_cells: int = 16384
-    x_min: float | None = None
     tol: float = 1e-10
     max_iter: int = 100
-    truncation_check: bool = True
 
     def __post_init__(self):
         if self.n_cells < 16:
@@ -271,7 +273,7 @@ class VolterraSolution:
     w0_values: np.ndarray
     delta_history: tuple[float, ...]
     converged: bool
-    truncation_error: float | None
+    truncation_error: float
     table_rel_error: float
     table_fit_nodes: int
 
@@ -293,7 +295,7 @@ class VolterraSolution:
 
 
 def _auto_x_min(params: ModelParams, q: float) -> float:
-    """Leftmost grid point: where the decaying solution is 1e-12 of its peak."""
+    """solve_wq's first left end: where psi_q is 1e-12 of its peak."""
     ctx = make_context(params, q)
     step = 0.25 * max(1.0, params.sigma / math.sqrt(ctx.b), 1.0 / params.eta)
     x = params.a
@@ -315,37 +317,39 @@ def solve_wq(params: ModelParams, q: float,
     pair of prefix/suffix sums in log space (the kernel is separable on
     each side of the diagonal), and the tail integral of the iterate is
     taken from a cubic-spline antiderivative. q = 0 returns the seed
-    itself. The returned object carries a truncation estimate obtained by
-    re-solving on a domain extended to twice the depth; values inside a
-    thin layer at the left edge (about 2 percent of the domain) carry the
-    cut-off error of the kernel and are excluded from that estimate.
+    itself. The domain starts where psi_q has decayed to 1e-12 of its peak,
+    or at x - (a - x)/20 if lower, so it holds x. truncation_error is the
+    change of G_q when the solve is repeated on a domain twice as deep;
+    while it exceeds TRUNCATION_TOL the solve moves to the deeper domain,
+    at most three times, and then raises AccuracyError.
 
     The Weber functions on the grids are read from one certified
     LogPcfTable of D_nu(+z) and one of D_nu(-z) (the latter only for
-    q > 0, where psi and chi are needed), each fitted once per call over
-    the z-range of the widest grid solved; the closed forms and the
-    homogeneous basis constants keep direct quadrature.
+    q > 0, where psi and chi are needed), each fitted once per domain over
+    the z-range of the extended grid; the closed forms and the homogeneous
+    basis constants keep direct quadrature.
     """
     if q < 0.0:
         raise StructuralError(f"q must be nonnegative, got {q!r}")
     spec = grid or VolterraGrid()
-    x_min = spec.x_min if spec.x_min is not None else _auto_x_min(params, q)
-    if not x_min < params.a:
-        raise StructuralError("x_min must lie below the barrier")
-    deep = x_min - (params.a - x_min)
-    tables = _WeberTables(params, q, deep if spec.truncation_check else x_min)
-    sol = _solve_on(tables, x_min, spec.n_cells, spec.tol, spec.max_iter)
-    if spec.truncation_check:
+    x_min = min(_auto_x_min(params, q), params.x - (params.a - params.x) / 20)
+    for _ in range(4):  # the first domain and up to three deeper ones
+        deep = x_min - (params.a - x_min)
+        tables = _WeberTables(params, q, deep)
+        sol = _solve_on(tables, x_min, spec.n_cells, spec.tol, spec.max_iter)
         ref = _solve_on(tables, deep, 2 * spec.n_cells, spec.tol,
                         spec.max_iter)
         # the cut perturbs the kernel inside a thin layer at x_min (the
         # Green function keeps O(1) diagonal mass there); judge truncation
         # on the part of the grid past that layer
-        interior = sol.grid >= x_min + 0.02 * (params.a - x_min)
-        here = gq_from_solution(sol, sol.grid[interior])
-        there = gq_from_solution(ref, sol.grid[interior])
-        sol.truncation_error = float(np.max(np.abs(here - there)))
-    return sol
+        inner = sol.grid[sol.grid >= x_min + 0.02 * (params.a - x_min)]
+        sol.truncation_error = float(np.max(np.abs(
+            gq_from_solution(sol, inner) - gq_from_solution(ref, inner))))
+        if sol.truncation_error <= TRUNCATION_TOL:
+            return sol
+        x_min = deep
+    raise AccuracyError(f"q={q!r}: truncation error {sol.truncation_error:.3g}"
+                        f" at x_min={sol.grid[0]:.6g}")
 
 
 class _WeberTables:
@@ -388,7 +392,7 @@ def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
                               tables.log_d1_a))
     if q == 0.0:
         return VolterraSolution(params, q, xs, w0.copy(), w0, (0.0,), True,
-                                None, tables.rel_error, tables.fit_nodes)
+                                math.nan, tables.rel_error, tables.fit_nodes)
 
     basis, ctx = tables.basis, tables.ctx
     eta_q = params.eta * q
@@ -432,7 +436,7 @@ def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
             converged = True
             break
     return VolterraSolution(params, q, xs, w, w0, tuple(history), converged,
-                            None, tables.rel_error, tables.fit_nodes)
+                            math.nan, tables.rel_error, tables.fit_nodes)
 
 
 def gq_from_solution(sol: VolterraSolution, x) -> np.ndarray | float:

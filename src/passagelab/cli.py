@@ -6,12 +6,12 @@ prints Monte Carlo estimates, ``closed-form`` and ``volterra`` evaluate
 the transforms, ``table`` puts the two side by side with z-scores, and
 ``verify`` runs the acceptance suite.
 
-Configuration lives in an INI file with one section per layer; every key
-is optional and falls back to the documented default. ``--set
-section.key=value`` overrides win over the file. The resolved
-configuration is echoed at the top of every output so each number is
-reproducible from the report alone; ``--report FILE`` saves the exact
-bytes that went to stdout.
+Every command but ``classify`` reads its configuration from an INI file
+with one section per layer; every key is optional and falls back to the
+documented default. ``--set section.key=value`` overrides win over the
+file. The resolved configuration is echoed at the top of the output so
+each number is reproducible from the report alone; ``--report FILE``
+saves the exact bytes that went to stdout.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 numerical failure,
 3 acceptance suite failure.
@@ -30,7 +30,8 @@ from typing import Callable
 
 from . import analytic
 from .acceptance import AcceptanceSettings, _fmt, run_acceptance
-from .errors import ConvergenceError, NumericalError, StructuralError
+from .errors import (ConvergenceError, NumericalError, StructuralError,
+                     UnderSampleError)
 from .paths import (
     EPS_MODE,
     Barrier,
@@ -49,8 +50,6 @@ _ENV_WORKERS = "PASSAGELAB_WORKERS"
 
 def _ini(value) -> str:
     """A default value as the config file spells it."""
-    if value is None:
-        return "auto"
     if isinstance(value, tuple):
         return " ".join(map(str, value))
     return str(value)
@@ -184,12 +183,9 @@ def resolve_config(args) -> RunConfig:
                     seed=gi("sim", "seed"),
                     bridge_correction=gb("sim", "bridge_correction"),
                     n_paths=gi("sim", "n_paths"))
-    raw_x_min = cp["solver"]["x_min"].strip().lower()
     solver = analytic.VolterraGrid(
-        n_cells=gi("solver", "n_cells"),
-        x_min=None if raw_x_min == "auto" else gf("solver", "x_min"),
-        tol=gf("solver", "tol"), max_iter=gi("solver", "max_iter"),
-        truncation_check=gb("solver", "truncation_check"))
+        n_cells=gi("solver", "n_cells"), tol=gf("solver", "tol"),
+        max_iter=gi("solver", "max_iter"))
 
     q_list = _float_list("run", "q_list", cp["run"]["q_list"])
     if any(q < 0.0 for q in q_list):
@@ -223,8 +219,7 @@ def _sim_line(c: SimConfig) -> str:
 
 
 def _solver_line(g: analytic.VolterraGrid) -> str:
-    x_min = "auto" if g.x_min is None else _fmt(g.x_min)
-    return (f"# solver n_cells={g.n_cells} x_min={x_min} tol={_fmt(g.tol)} "
+    return (f"# solver n_cells={g.n_cells} tol={_fmt(g.tol)} "
             f"max_iter={g.max_iter}")
 
 
@@ -241,7 +236,7 @@ def _row(*cells) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_classify(rc: RunConfig, args) -> tuple[str, int]:
+def _cmd_classify(rc: None, args) -> tuple[str, int]:
     if (args.path_file is None) == (args.corpus is None):
         raise StructuralError("give exactly one of PATH_FILE or --corpus")
     if args.corpus is not None:
@@ -322,12 +317,10 @@ def _cmd_volterra(rc: RunConfig, args) -> tuple[str, int]:
              "q\tx\tgq\titerations\tsup_delta\ttruncation_error\tconverged"]
     for q in rc.q_list:
         sol = _solved(rc, q)
-        trunc = "-" if sol.truncation_error is None \
-            else _fmt(sol.truncation_error)
         for x in rc.x_list:
             gq = analytic.gq_from_solution(sol, x)
             lines.append(_row(q, x, gq, sol.iterations, sol.sup_delta,
-                              trunc, "yes" if sol.converged else "no"))
+                              sol.truncation_error, "yes"))
     return "\n".join(lines) + "\n", 0
 
 
@@ -345,6 +338,8 @@ def _cmd_table(rc: RunConfig, args) -> tuple[str, int]:
             ref = analytic.gq_from_solution(_solved(rc, q), x0)
         ind = mc.estimate_gq_indicator(rc.model, rc.sim, q, result)
         comp = mc.estimate_gq_compensator(rc.model, rc.sim, q, result)
+        if not math.isfinite(ind.std_error + comp.std_error):  # z would be 0
+            raise UnderSampleError(f"q={_fmt(q)}: infinite standard error")
         z_ind = abs(ind.mean - ref) / ind.std_error \
             if ind.std_error > 0 else math.inf
         z_comp = abs(comp.mean - ref) / comp.std_error \
@@ -384,7 +379,10 @@ _COMMANDS = {
 # entry point
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
+    report = _Parser(add_help=False)
+    report.add_argument("--report", metavar="FILE",
+                        help="also save the stdout bytes to FILE")
+    common = _Parser(add_help=False, parents=[report])
     common.add_argument("--config", metavar="FILE",
                         help="INI configuration file")
     common.add_argument("--set", action="append", default=[],
@@ -395,8 +393,6 @@ def _build_parser() -> _Parser:
                              "or serial)")
     common.add_argument("--seed", type=int, metavar="N",
                         help="shortcut for --set sim.seed=N")
-    common.add_argument("--report", metavar="FILE",
-                        help="also save the stdout bytes to FILE")
 
     parser = _Parser(prog="passagelab",
                      description="First-passage modes of jump diffusions: "
@@ -404,7 +400,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[report],
                        help="crossing record and announcing forecast of a "
                             "path file")
     p.add_argument("path_file", nargs="?", help="path file to classify")
@@ -438,7 +434,7 @@ def main(argv=None) -> int:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
     try:
-        rc = resolve_config(args)
+        rc = None if args.command == "classify" else resolve_config(args)
         text, status = _COMMANDS[args.command](rc, args)
         sys.stdout.write(text)
         if args.report is not None:

@@ -1,5 +1,6 @@
 """Closed forms and the integral-equation solver for the discounted transform."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from passagelab.analytic import (
     robin_operator,
     solve_wq,
 )
-from passagelab.errors import StructuralError
+from passagelab.errors import AccuracyError, NumericalError, StructuralError
 from passagelab.simulate import ModelParams
 from passagelab.weber import (
     TABLE_RTOL,
@@ -182,8 +183,7 @@ class TestClosedForms:
 
 class TestVolterra:
     def test_zero_discount_returns_seed(self):
-        sol = solve_wq(REF, 0.0, VolterraGrid(n_cells=1024,
-                                              truncation_check=False))
+        sol = solve_wq(REF, 0.0, VolterraGrid(n_cells=1024))
         assert sol.converged and sol.iterations <= 1
         assert np.array_equal(sol.w_values, sol.w0_values)
         assert gq_from_solution(sol, REF.a) == 0.0
@@ -204,8 +204,7 @@ class TestVolterra:
     def test_undiscounted_derivative_nonpositive(self):
         # at q = 0 the transform is a plain crossing probability, monotone
         # in the start level, and the solver returns the seed unmodified
-        sol = solve_wq(REF, 0.0, VolterraGrid(n_cells=1024,
-                                              truncation_check=False))
+        sol = solve_wq(REF, 0.0, VolterraGrid(n_cells=1024))
         assert np.all(sol.w_values <= 0.0)
 
     def test_discounted_transform_is_unimodal(self, sol05):
@@ -231,7 +230,7 @@ class TestVolterra:
         assert np.all(np.diff(gq_nodes[past_peak]) <= 1e-14)
 
     def test_monotone_in_discount(self):
-        cheap = VolterraGrid(n_cells=2048, truncation_check=False)
+        cheap = VolterraGrid(n_cells=2048)
         g_lo = gq_from_solution(solve_wq(REF, 0.01, cheap), 0.0)
         g_hi = gq_from_solution(solve_wq(REF, 0.1, cheap), 0.0)
         assert g_lo > g_hi > 0.0
@@ -245,6 +244,11 @@ class TestVolterra:
     def test_grid_validation(self):
         with pytest.raises(StructuralError):
             VolterraGrid(n_cells=4)
+
+    def test_truncation_above_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "TRUNCATION_TOL", 0.0)
+        with pytest.raises(AccuracyError, match="truncation error"):
+            solve_wq(REF, 0.05, VolterraGrid(n_cells=64))
 
 
 class TestResiduals:
@@ -280,7 +284,7 @@ class TestResiduals:
 
 
 def test_seed_term_sign_and_consistency():
-    grid = VolterraGrid(n_cells=64, truncation_check=False)
+    grid = VolterraGrid(n_cells=64)
     assert np.all(solve_wq(REF, 0.2, grid).w0_values < 0.0)
     at_zero = solve_wq(REF, 0.0, grid)
     assert at_zero.w0_values[32] == pytest.approx(
@@ -339,6 +343,41 @@ def test_solver_tables_match_direct_quadrature(params, q, fracs):
         assert np.all(np.abs(np.expm1(table(zs) - direct)) <= bound)
 
 
+# MODELS with sigma widened to [0.05, 1], where the decay point of psi can
+# lie above the start or too close to the barrier
+WIDE_MODELS = st.builds(dataclasses.replace, MODELS,
+                        sigma=st.floats(0.05, 1.0))
+
+
+def _g0_gap(sol) -> float:
+    """Criterion 4's statistic: the solve against the closed-form profile."""
+    return float(np.max(np.abs(gq_from_solution(sol, sol.grid)
+                               - g0_profile(sol.params, sol.grid))))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(params=WIDE_MODELS, q=st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+def test_solve_is_accurate_or_raises(params, q):
+    # q = 0 is judged by criterion 4's rule on criterion 4's grid; it costs
+    # no Picard iterations
+    grid = VolterraGrid() if q == 0.0 else VolterraGrid(n_cells=1024)
+    try:
+        sol = solve_wq(params, q, grid)
+    except NumericalError:
+        return
+    assert sol.grid[0] <= params.x
+    assert sol.truncation_error <= analytic.TRUNCATION_TOL
+    if q == 0.0:
+        gap = _g0_gap(sol)
+        if gap > 1e-8:
+            # near sigma = 0.05 the uniform grid under-resolves the barrier
+            # layer, of width about sigma^2 / |alpha + beta a|; that error
+            # is O(h^4), so it must fall as the grid is refined, which a
+            # wrong domain would not
+            finer = solve_wq(params, q, VolterraGrid(n_cells=2 * grid.n_cells))
+            assert _g0_gap(finer) <= gap / 8.0
+
+
 class _DirectTable:
     """Stands in for LogPcfTable: every value by direct quadrature."""
 
@@ -380,5 +419,6 @@ def test_table_solve_matches_direct_quadrature_solve(monkeypatch, q):
 ])
 def test_table_solve_matches_direct_quadrature_far_out(monkeypatch, params,
                                                        x_min):
-    _assert_same_solve(monkeypatch, params, 0.05,
-                       VolterraGrid(n_cells=512, x_min=x_min))
+    if x_min is not None:
+        monkeypatch.setattr(analytic, "_auto_x_min", lambda p, q: x_min)
+    _assert_same_solve(monkeypatch, params, 0.05, VolterraGrid(n_cells=512))

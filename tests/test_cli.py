@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from passagelab import cli
+from passagelab import analytic, cli
 from passagelab.acceptance import AcceptanceSettings
 from passagelab.analytic import VolterraGrid
 from passagelab.cli import _build_parser, main, resolve_config
@@ -105,6 +105,20 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "--corpus", "nope")
         assert code == 1 and "error: structural" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--config", "run.ini"), ("--set", "model.x=5"), ("--workers", "2"),
+        ("--seed", "7")])
+    def test_takes_no_configuration(self, flag, value, capsys):
+        code, out, err = run_cli(capsys, "classify", "--corpus",
+                                 "touch_and_jump", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: usage") and flag in err
+
+    def test_ignores_the_worker_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("PASSAGELAB_WORKERS", "0")
+        code, _, _ = run_cli(capsys, "classify", "--corpus", "touch_and_jump")
+        assert code == 0
+
 
 class TestClosedForm:
     def test_boundary_and_reference_values(self, capsys):
@@ -155,6 +169,25 @@ class TestVolterra:
         assert row["converged"] == "yes"
         assert int(row["iterations"]) < 30
         assert float(row["sup_delta"]) <= 1e-10
+
+    def test_start_below_the_decay_point(self, capsys):
+        # psi decays within 0.5 of the barrier here, so the decay point
+        # alone would leave x = 0 outside the solved domain
+        code, out, _ = run_cli(
+            capsys, "volterra", "--set", "model.sigma=0.1",
+            "--set", "solver.n_cells=1024", "--set", "run.q_list=0.05")
+        assert code == 0
+        (row,) = table_rows(out)
+        assert row["x"] == "0" and row["converged"] == "yes"
+        assert float(row["truncation_error"]) <= analytic.TRUNCATION_TOL
+
+    def test_truncation_above_tolerance_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(analytic, "TRUNCATION_TOL", 0.0)
+        code, out, err = run_cli(
+            capsys, "volterra", "--set", "solver.n_cells=64",
+            "--set", "run.q_list=0.05")
+        assert code == 2 and out == ""
+        assert err.startswith("error: numerical: AccuracyError")
 
     def test_nonconvergence_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -209,8 +242,7 @@ class TestSimulate:
 
     def test_worker_variable_below_one_is_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("PASSAGELAB_WORKERS", "0")
-        code, out, err = run_cli(capsys, "classify", "--corpus",
-                                 "touch_and_jump")
+        code, out, err = run_cli(capsys, "simulate", *TINY_SIM)
         assert code == 1 and out == ""
         assert "error: structural" in err and "workers" in err
 
@@ -243,6 +275,52 @@ class TestTable:
         assert table_rows(out)[0]["x"] == "0"
 
 
+class TestDegenerateInputs:
+    """Exit codes of the degenerate inputs, per subcommand that reads them."""
+
+    @pytest.mark.parametrize("command", ["closed-form", "volterra", "table"])
+    def test_zero_beta_is_a_numerical_failure(self, command, capsys):
+        code, out, err = run_cli(capsys, command, *TINY_SIM,
+                                 "--set", "model.beta=0",
+                                 "--set", "solver.n_cells=256")
+        assert code == 2 and out == ""
+        assert err.startswith("error: numerical: UnsupportedRegimeError")
+
+    def test_resonance_is_a_numerical_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "volterra", "--set", "model.alpha=0.07886166367937403",
+            "--set", "model.beta=-0.22357392104536444",
+            "--set", "model.sigma=0.9274927555198479",
+            "--set", "model.lam=1.116579477307474",
+            "--set", "model.eta=4.949874615285586",
+            "--set", "run.q_list=0.0938374701172594",
+            "--set", "solver.n_cells=256")
+        assert code == 2 and out == ""
+        assert err.startswith("error: numerical: ResonanceError")
+
+    @pytest.mark.parametrize("command", ["simulate", "table"])
+    def test_negative_q_is_a_usage_error(self, command, capsys):
+        code, out, err = run_cli(capsys, command, *TINY_SIM,
+                                 "--set", "run.q_list=-0.1")
+        assert code == 1 and out == ""
+        assert "nonnegative" in err
+
+    def test_one_path_simulate_prints_infinite_errors(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", *TINY_SIM,
+                               "--set", "sim.n_paths=1")
+        assert code == 0
+        rows = table_rows(out)
+        assert rows and all(r["std_error"] == "inf" for r in rows)
+
+    def test_one_path_table_is_an_undersample_failure(self, capsys):
+        # an infinite standard error would print z = 0, a perfect agreement
+        code, out, err = run_cli(capsys, "table", *TINY_SIM,
+                                 "--set", "sim.n_paths=1",
+                                 "--set", "solver.n_cells=256")
+        assert code == 2 and out == ""
+        assert err.startswith("error: numerical: UnderSampleError")
+
+
 class TestConfigResolution:
     def test_config_file_and_override_precedence(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
@@ -272,6 +350,13 @@ class TestConfigResolution:
     def test_bad_overrides(self, bad, capsys):
         code, _, err = run_cli(capsys, "closed-form", "--set", bad)
         assert code == 1 and "error: structural" in err
+
+    @pytest.mark.parametrize("deleted", ["solver.x_min=-1",
+                                         "solver.truncation_check=no"])
+    def test_solver_domain_is_not_an_option(self, deleted, capsys):
+        code, out, err = run_cli(capsys, "volterra", "--set", deleted)
+        assert code == 1 and out == ""
+        assert "unknown config key" in err
 
     def test_negative_q_rejected(self, capsys):
         code, _, err = run_cli(capsys, "volterra",
@@ -342,7 +427,6 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_acceptance", stub)
         code, _, err = run_cli(
             capsys, "verify", "--set", "sim.bridge_correction=yes",
-            "--set", "solver.n_cells=16384", "--set", "solver.x_min=auto",
-            "--set", "solver.tol=1e-10", "--set", "solver.max_iter=100",
-            "--set", "solver.truncation_check=true")
+            "--set", "solver.n_cells=16384", "--set", "solver.tol=1e-10",
+            "--set", "solver.max_iter=100")
         assert code == 1 and "suite reached" in err
