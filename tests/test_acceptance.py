@@ -13,7 +13,7 @@ batches. Deselect with `-k "not acceptance"` during development.
 import pytest
 
 from passagelab import acceptance
-from passagelab.acceptance import _CRITERIA, run_acceptance
+from passagelab.acceptance import _CRITERIA, AcceptanceSettings, run_acceptance
 from passagelab.errors import UnderSampleError
 
 
@@ -55,6 +55,20 @@ def test_raising_criterion_reports_only_its_error(monkeypatch):
     assert not result.passed
     assert result.details == [("error", "UnderSampleError: too few")]
     assert result.budget is None
+
+
+def test_one_path_estimates_fail(monkeypatch):
+    # a one-path standard error is no bound at all: the criteria that
+    # compare within standard errors must fail, not pass on an infinite one
+    picked = [c for c in _CRITERIA if c[0] in (3, 5, 7, 10)]
+    monkeypatch.setattr(acceptance, "_CRITERIA", picked)
+    settings = AcceptanceSettings(n_paths=1, cp_n_paths=1)
+    results = run_acceptance(settings, workers=1).results
+    assert [r.number for r in results] == [3, 5, 7, 10]
+    for result in results:
+        assert not result.passed
+        assert result.details[0][1].startswith("UnderSampleError"), \
+            result.line()
 
 
 def test_report_layout(reports):

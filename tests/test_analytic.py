@@ -26,7 +26,8 @@ from passagelab.analytic import (
     robin_operator,
     solve_wq,
 )
-from passagelab.errors import AccuracyError, NumericalError, StructuralError
+from passagelab.errors import (AccuracyError, ConvergenceError,
+                               NumericalError, StructuralError)
 from passagelab.simulate import ModelParams
 from passagelab.weber import (
     TABLE_RTOL,
@@ -249,6 +250,21 @@ class TestVolterra:
         monkeypatch.setattr(analytic, "TRUNCATION_TOL", 0.0)
         with pytest.raises(AccuracyError, match="truncation error"):
             solve_wq(REF, 0.05, VolterraGrid(n_cells=64))
+
+    # the second is a draw from the widened box whose Picard change stays at
+    # 24.4 from the first iteration on; its truncation check compared two
+    # stalled iterates and read 5.6e-17
+    @pytest.mark.parametrize("params,q,grid", [
+        (REF, 0.05, VolterraGrid(n_cells=64, max_iter=2)),
+        (ModelParams(alpha=0.19395121082161892, beta=-1.7012069745403153,
+                     sigma=0.4348437202181015, lam=0.4057252730603772,
+                     eta=4.361175190391078, a=1.0, x=0.0),
+         0.4143990354882612, VolterraGrid(n_cells=1024))],
+        ids=["iteration-cap", "stalled"])
+    def test_unconverged_loop_raises(self, params, q, grid):
+        with pytest.raises(ConvergenceError,
+                           match=f"after {grid.max_iter} iterations"):
+            solve_wq(params, q, grid)
 
 
 class TestResiduals:

@@ -189,6 +189,22 @@ class TestVolterra:
         assert code == 2 and out == ""
         assert err.startswith("error: numerical: AccuracyError")
 
+    def test_points_below_the_model_start_are_solved(self, capsys):
+        # the domain is chosen for the lowest requested x, so x = -8 gets
+        # the value a run started there gives
+        code, out, _ = run_cli(
+            capsys, "volterra", "--set", "run.x_list=0,-8",
+            "--set", "solver.n_cells=1024")
+        assert code == 0
+        low = table_rows(out)[1]
+        code, out, _ = run_cli(
+            capsys, "volterra", "--set", "model.x=-8",
+            "--set", "solver.n_cells=1024")
+        assert code == 0
+        (alone,) = table_rows(out)
+        assert low["x"] == alone["x"] == "-8"
+        assert low["gq"] == alone["gq"] == "0.572949950932"
+
     def test_nonconvergence_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "volterra", "--set", "solver.max_iter=2",
@@ -305,12 +321,12 @@ class TestDegenerateInputs:
         assert code == 1 and out == ""
         assert "nonnegative" in err
 
-    def test_one_path_simulate_prints_infinite_errors(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", *TINY_SIM,
-                               "--set", "sim.n_paths=1")
-        assert code == 0
-        rows = table_rows(out)
-        assert rows and all(r["std_error"] == "inf" for r in rows)
+    def test_one_path_simulate_is_an_undersample_failure(self, capsys):
+        # a standard error needs two paths; one path would print inf
+        code, out, err = run_cli(capsys, "simulate", *TINY_SIM,
+                                 "--set", "sim.n_paths=1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: numerical: UnderSampleError")
 
     def test_one_path_table_is_an_undersample_failure(self, capsys):
         # an infinite standard error would print z = 0, a perfect agreement
@@ -412,11 +428,12 @@ class TestVerify:
             capsys, "verify", "--set", "sim.n_paths=2000",
             "--set", "verify.cp_n_paths=20000",
             "--set", "sim.bridge_correction=no",
-            "--set", "solver.n_cells=64", "--set", "solver.tol=1e-3")
+            "--set", "solver.n_cells=64", "--set", "solver.tol=1e-3",
+            "--set", "run.q_list=0.1", "--set", "run.x_list=-1")
         assert code == 1 and out == ""
         assert "error: structural" in err
         for key in ("[sim] bridge_correction", "[solver] n_cells",
-                    "[solver] tol"):
+                    "[solver] tol", "[run] q_list", "[run] x_list"):
             assert key in err
         assert "max_iter" not in err
 
@@ -428,5 +445,6 @@ class TestVerify:
         code, _, err = run_cli(
             capsys, "verify", "--set", "sim.bridge_correction=yes",
             "--set", "solver.n_cells=16384", "--set", "solver.tol=1e-10",
-            "--set", "solver.max_iter=100")
+            "--set", "solver.max_iter=100", "--set", "run.q_list=0.05",
+            "--set", "run.x_list=0")
         assert code == 1 and "suite reached" in err

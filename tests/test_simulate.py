@@ -464,6 +464,22 @@ class TestCompoundPoisson:
             [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
             [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
 
+    @pytest.mark.parametrize("law", [
+        LatticeJumps((1.0, 2.0), (0.5, 0.5)),
+        LatticeJumps((0.1, 0.3, 0.7, 2.0), (0.1, 0.2, 0.3, 0.4)),
+        LatticeJumps((0.5, 1.0, 1.5), (0.0, 1 / 3, 2 / 3))])
+    def test_lattice_draw_matches_numpy_choice(self, law):
+        # same index and the same stream position as
+        # rng.choice(len(values), p=probs)
+        for seed in range(5):
+            ours = np.random.Generator(np.random.Philox(seed))
+            ref = np.random.Generator(np.random.Philox(seed))
+            for _ in range(500):
+                want = law.values[ref.choice(len(law.values),
+                                             p=np.asarray(law.probs))]
+                assert law.draw(ours) == want
+            assert ours.random() == ref.random()
+
     def test_lattice_tail_closed_above(self):
         law = LatticeJumps((1.0, 2.0), (0.5, 0.5))
         assert law.tail(1.0) == 1.0
