@@ -6,13 +6,27 @@ with rate eta. The barrier is the constant level a, started from x < a.
 
 Between jump epochs the transition law is Gaussian with exactly known mean
 and variance, so the step size controls only barrier monitoring, not the
-marginal law. Each epoch is walked on a fixed step h = config.step from its
+marginal law. Each epoch has a fine grid of step h = config.step from its
 start, with one partial step (of length in (0, h]) onto the epoch itself,
-so the jump epochs are placed exactly. Because h is fixed, the growth
-weights, mean shifts and discount factors exp(-q h j) of a chunk of steps
-are tables built once per call. A Brownian-bridge correction supplies the
-probability that the path crossed inside a step whose endpoints are both
-below the barrier.
+and is walked in exact strides of m fine steps (m = _STRIDE = 64, halved
+while |beta| m h > 1), the last one partial. A stride is refined only when
+its Brownian-bridge crossing probability exp(-2 y0 y1 / (sigma^2 L)), for
+the gaps y = X - a at its ends, exceeds _EPS_BRIDGE = 1e-14; it is 1 for a
+stride ending at or above a. A refined stride walks its fine nodes from its
+start and conditions them on the drawn end by the exact Gaussian
+correction X_j += c_j (x_end - X_m), c_j = Cov(X_{t_j}, X_L) / Var(X_L)
+given X_0, so they have the law of the plain fine walk; a Brownian-bridge
+correction for crossings inside a fine step and the trapezoid compensator
+run on them. A stride of one fine step is its own fine walk, monitored
+whenever its probability is at least exp(-708), so m = 1 gives the plain
+fine walk. An unrefined stride is not monitored: by the bridge probability
+the fine walk's correction also uses, a path's crossing law moves by at
+most _EPS_BRIDGE per stride, about 5e-13 at the reference model (about 51
+strides per path). Its compensator is the Rao-Blackwellised integral of
+exp(-q s) lam E[exp(-eta (a - X_s)) | ends], a lognormal mean under the
+Gaussian bridge, by a 4-node Gauss-Legendre rule. The compensator reads
+eta (X - a) clipped at -300, a change below exp(-300), so that no exp
+leaves the normal range.
 
 Because jumps are upward and exponential, a crossing is either a creep of
 the diffusion part onto the barrier or a strict jump over it; a jump can
@@ -20,20 +34,23 @@ land exactly on the barrier only with probability zero, and the engine
 never produces that mode.
 
 Paths are advanced in lockstep groups of at most _GROUP_WIDTH paths, one
-chunk of at most _CHUNK_STEPS steps of each path's current epoch at a time
-(fewer when |beta| h is large, see _StepTables). Path i draws from one
-counter-based Philox stream keyed by (seed, i), in this order:
+chunk of at most _CHUNK_STRIDES strides of each path's current epoch at a
+time. Path i draws from one counter-based Philox stream keyed by (seed, i),
+in this order:
 
   * at the start of each epoch, two standard exponentials: the gap to the
     next jump (divided by lam) and that jump's size (divided by eta);
-  * for each chunk of the epoch, one standard normal per step in step
-    order, the partial step onto the epoch included;
-  * right after them, one uniform per step of the chunk whose bridge
-    probability is nonzero, in step order, up to the chunk's first step
-    that ends at or above the barrier. Steps where the probability
-    underflows to zero draw none.
+  * for each chunk of the epoch, one standard normal per stride, in stride
+    order, the partial stride onto the epoch included;
+  * then one normal per fine step of each refined stride of more than one
+    fine step, in stride order; a chunk refines only up to its first
+    stride that ends at or above the barrier;
+  * then one uniform per fine step of the refined strides whose bridge
+    probability is at least exp(-708), in step order, each stride up to
+    its first fine step that ends at or above the barrier.
 
-STREAM_VERSION names this layout and is recorded in every SimResult.
+STREAM_VERSION names this layout and is recorded in every SimResult, with
+the batch's totals of strides, refined strides, normals and uniforms drawn.
 Every number is a function of (params, config, q, path index) only, so
 results are bitwise identical for any worker count, block size or group
 width, and simulate_crossing replays any member of a batch bit for bit.
@@ -67,10 +84,22 @@ _MASK64 = (1 << 64) - 1
 # stream namespaces: diffusion paths, compound Poisson paths
 _NS_AFFINE = 0
 _NS_CP = 1
-STREAM_VERSION = 2     # the draw order of a diffusion path's stream
+STREAM_VERSION = 3     # the draw order of a diffusion path's stream
 _BLOCK = 4096          # paths per task handed to a worker
-_GROUP_WIDTH = 64      # paths advanced in lockstep within a block
-_CHUNK_STEPS = 512     # steps per lockstep chunk
+_GROUP_WIDTH = 128     # paths advanced in lockstep within a block
+_STRIDE = 64           # fine steps per coarse stride, a power of two
+_CHUNK_STRIDES = 32    # strides per lockstep chunk
+_EPS_BRIDGE = 1e-14    # refine a stride whose crossing probability exceeds it
+_LOG_TINY = -708.0     # a fine step below exp(_LOG_TINY) draws no uniform
+# the 4-node Gauss-Legendre rule on [-1, 1] of an unrefined stride's
+# integral, as quad._gl_rule(4) gives it; written out, because computing it
+# loads LAPACK (about 1 MiB resident) into a process that needs it nowhere else
+_GL_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
+                      0.3399810435848563, 0.8611363115940526])
+_GL_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625462,
+                        0.6521451548625462, 0.3478548451374538])
+_CLIP_GAP = 300.0      # the compensator reads eta (X - a) clipped at -_CLIP_GAP
+_CHUNK_STEPS = 512     # widest fine-step table
 # cap on |beta| * h * chunk so the rescaled-cumsum recursion stays in range
 _LOG_CHUNK = 60.0
 
@@ -176,9 +205,35 @@ def ou_exact_step(x, dt, noise, params: ModelParams):
     return np.asarray(x) * g + shift + sd * np.asarray(noise)
 
 
-def _bridge_prob(y0, y1, sigma: float, dt):
-    """P(Brownian bridge from gap y0 to gap y1 over dt reaches 0), both < 0."""
-    return np.exp(-2.0 * y0 * y1 / (sigma * sigma * dt))
+def _bridge_log_prob(y0, y1, sigma: float, dt):
+    """log P(Brownian bridge from gap y0 to gap y1 over dt reaches 0), both < 0."""
+    return -2.0 * y0 * y1 / (sigma * sigma * dt)
+
+
+def _bridge_law(params: ModelParams, L, s):
+    """Law of X_s inside an exact step of length L, given both of its ends.
+
+    X_s given X_0 and X_L is Gaussian with mean A X_0 + B X_L + C and
+    variance V; B = Cov(X_s, X_L | X_0) / Var(X_L | X_0) is also the
+    coefficient that conditions a free walk on its end. The terms are
+    written with exp(-|beta| t) only, so none overflows for either sign of
+    beta, and beta = 0 (Brownian motion with drift) is its own branch.
+    L and s may be arrays that broadcast.
+    """
+    s = np.asarray(s, dtype=float)
+    sig2 = params.sigma * params.sigma
+    if params.beta == 0.0:
+        B = s / L
+        return 1.0 - B, B, np.zeros_like(B), sig2 * s * (1.0 - B)
+    b = abs(params.beta)
+    e_s, e_r, e_L = np.expm1(-2.0 * b * s), np.expm1(-2.0 * b * (L - s)), \
+        np.expm1(-2.0 * b * L)
+    A = np.exp(-b * s) * e_r / e_L
+    B = np.exp(-b * (L - s)) * e_s / e_L
+    # C = mu (1 - A - B) about the mean level mu = -alpha/beta, in closed form
+    C = -(params.alpha / params.beta) * np.expm1(-b * s) \
+        * np.expm1(-b * (L - s)) / (1.0 + np.exp(-b * L))
+    return A, B, C, sig2 * e_s * e_r / (-2.0 * b * e_L)
 
 
 class _StepTables:
@@ -232,9 +287,16 @@ class _StepTables:
         return out
 
 
+_WORK = ("strides", "refined", "normals", "uniforms")
+
+
 @dataclass(eq=False)
 class SimResult:
-    """Per-path crossing summaries for a batch, in path-index order."""
+    """Per-path crossing summaries for a batch, in path-index order.
+
+    work holds the batch's integer totals of the draws in _WORK: strides
+    walked, strides refined, standard normals and bridge uniforms.
+    """
 
     params: ModelParams
     config: SimConfig
@@ -244,6 +306,7 @@ class SimResult:
     overshoots: np.ndarray     # nan unless jump_over
     pre_jump_levels: np.ndarray  # barrier level for creep, nan if censored
     comp: np.ndarray           # shape (n_paths, len(q_list))
+    work: dict[str, int]
     stream_version: int = STREAM_VERSION
 
     @property
@@ -261,11 +324,12 @@ class _Group:
     """Lockstep engine for the paths start..start+count-1 of one block.
 
     Up to _GROUP_WIDTH slots hold live paths. Each round advances every
-    live slot by one chunk of at most tables.width steps of its current
-    epoch (the last of which may be the partial step onto the epoch), ends
-    the epochs and paths that are done, and refills the empty slots. Every
-    operation on the group's arrays acts on each row alone, so a path's
-    numbers do not depend on which slot it ran in or what ran beside it.
+    live slot by one chunk of at most _CHUNK_STRIDES strides of its current
+    epoch (the last of which may be the partial stride onto the epoch),
+    refines the strides near the barrier, ends the epochs and paths that
+    are done, and refills the empty slots. Every operation on the group's
+    arrays acts on each row alone, so a path's numbers do not depend on
+    which slot it ran in or what ran beside it.
     """
 
     def __init__(self, params: ModelParams, config: SimConfig,
@@ -275,9 +339,35 @@ class _Group:
         self.q = q_arr
         self.start = start
         self.count = count
-        self.tab = _StepTables(params, config.step, q_arr)
+        h = config.step
+        self.tab = _StepTables(params, h, q_arr)
+        # fine steps per stride, halved while |beta| H > 1: then the bridge
+        # law varies on the scale of the stride, so a fixed rule integrates
+        # it, and exp(beta H) stays small
+        self.m = _STRIDE
+        while self.m > 1 and abs(params.beta) * h * self.m > 1.0:
+            self.m //= 2
+        self.H = self.m * h
+        self.coarse = _StepTables(params, self.H, q_arr[:0])
+        # conditioning coefficients c_j of the fine nodes of a full stride
+        self.cond = _bridge_law(params, self.H, h * np.arange(1, self.m + 1))[1]
+        # Rao-Blackwell rule of a full stride: at node i, exp(eta (A y0 + B y1))
+        # times rb_w[q, i * _CHUNK_STRIDES + k], the rest of node i of
+        # stride k of a chunk, discount included (see _rb_terms)
+        self.gl = (0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS)
+        s = self.H * self.gl[0]
+        self.rb_a, self.rb_b, log_w = self._rb_terms(self.H, s,
+                                                     self.H * self.gl[1])
+        self.rb_a, self.rb_b = self.rb_a[:, None], self.rb_b[:, None]
+        offsets = (s[:, None] + self.H * np.arange(_CHUNK_STRIDES)).ravel()
+        self.rb_w = np.exp(np.repeat(log_w, _CHUNK_STRIDES)
+                           - np.outer(q_arr, offsets))
         slots = min(_GROUP_WIDTH, count)
         self.streams = [_Stream() for _ in range(slots)]
+        # each slot's draw methods; re-keying keeps the generator objects
+        self.normal = [st.rng.standard_normal for st in self.streams]
+        self.uniform = [st.rng.random for st in self.streams]
+        self.exponential = [st.rng.standard_exponential for st in self.streams]
         self.row = np.full(slots, -1)     # output row of each slot's path
         self.next = 0                     # next output row to start
         self.x = np.zeros(slots)          # value at the chunk start
@@ -285,17 +375,34 @@ class _Group:
         self.t_end = np.zeros(slots)      # epoch end
         self.jump = np.zeros(slots, dtype=bool)   # epoch ends in a jump
         self.size = np.zeros(slots)       # that jump's size
-        self.done = np.zeros(slots, dtype=np.int64)   # full steps done
-        self.n_full = np.zeros(slots, dtype=np.int64)  # full steps in epoch
-        self.dt_last = np.zeros(slots)    # the partial step onto the epoch
+        self.done = np.zeros(slots, dtype=np.int64)     # strides done
+        self.n_str = np.zeros(slots, dtype=np.int64)    # strides in epoch
+        self.n_last = np.zeros(slots, dtype=np.int64)   # fine steps, last stride
+        self.dt_last = np.zeros(slots)    # the partial fine step onto the epoch
+        self.L_last = np.zeros(slots)     # the partial stride onto the epoch
         self.comp = np.zeros((slots, q_arr.shape[0]))
         self.modes = np.empty(count, dtype=np.int8)
         self.taus = np.empty(count)
         self.overshoots = np.full(count, np.nan)
         self.pre = np.empty(count)
         self.out_comp = np.empty((count, q_arr.shape[0]))
-        self.z = np.zeros((slots, self.tab.width))
+        self.work = dict.fromkeys(_WORK, 0)
+        self.z = np.zeros((slots, _CHUNK_STRIDES))
         self.z_rows = list(self.z)
+
+    def _rb_terms(self, L, s, w):
+        """The Rao-Blackwell integrand of strides of length L at nodes s.
+
+        Returns eta A, eta B and the log of lam w exp(eta (C - a (1 - A - B))
+        + eta^2 V / 2), so that the node adds exp(eta A y0 + eta B y1 + log)
+        exp(-q s) for the gaps y = X - a of the ends: the lognormal mean of
+        lam exp(-eta (a - X_s)) given the ends, times the node weight w.
+        """
+        A, B, C, V = _bridge_law(self.p, L, s)
+        eta = self.p.eta
+        log_rest = math.log(self.p.lam) + np.log(w) + 0.5 * eta * eta * V \
+            + eta * (C - self.p.a * (1.0 - A - B))
+        return eta * A, eta * B, log_rest
 
     def run(self):
         self._fill()
@@ -306,7 +413,7 @@ class _Group:
             self._chunk(live)
             self._fill()
         return (self.start, self.modes, self.taus, self.overshoots, self.pre,
-                self.out_comp)
+                self.out_comp, self.work)
 
     def _fill(self):
         """Start the next paths in the empty slots."""
@@ -324,6 +431,8 @@ class _Group:
             self._epochs(empty, np.zeros(empty.size))
 
     def _finish(self, slots, mode: Mode, tau, overshoot=math.nan, pre=math.nan):
+        if slots.size == 0:
+            return
         r = self.row[slots]
         self.modes[r] = CODE_OF[mode]
         self.taus[r] = tau
@@ -334,24 +443,32 @@ class _Group:
 
     def _epochs(self, slots, t0):
         """Draw the next epoch of each slot, which is at x at time t0."""
+        if slots.size == 0:
+            return
         p, h, horizon = self.p, self.cfg.step, self.cfg.horizon
         draws = np.empty((slots.size, 2))
         for row, s in zip(draws, slots.tolist()):
-            self.streams[s].rng.standard_exponential(out=row)
+            self.exponential[s](out=row)
         t_end = t0 + draws[:, 0] / p.lam
         jump = t_end < horizon
         t_end[~jump] = horizon
         size = draws[:, 1] / p.eta
         seg = t_end - t0
+        # n fine steps, the last of length dt_last in (0, h]
         n = np.maximum(1, np.ceil(seg / h)).astype(np.int64)
         n -= (seg - (n - 1) * h <= 0.0) & (n > 1)
+        strides = (n + self.m - 1) // self.m
+        n_last = n - (strides - 1) * self.m
+        dt_last = seg - (n - 1) * h
         self.t0[slots] = t0
         self.t_end[slots] = t_end
         self.jump[slots] = jump
         self.size[slots] = size
         self.done[slots] = 0
-        self.n_full[slots] = n - 1
-        self.dt_last[slots] = seg - (n - 1) * h
+        self.n_str[slots] = strides
+        self.n_last[slots] = n_last
+        self.dt_last[slots] = dt_last
+        self.L_last[slots] = (n_last - 1) * h + dt_last
         empty = seg <= 0.0
         if empty.any():
             # an epoch of zero length: the jump comes before any step
@@ -373,125 +490,239 @@ class _Group:
         self._epochs(slots, self.t_end[slots])
 
     def _chunk(self, live: np.ndarray):
-        p, h, a = self.p, self.cfg.step, self.p.a
-        tab = self.tab
-        width = tab.width
+        p, h, a, H = self.p, self.cfg.step, self.p.a, self.H
+        width = _CHUNK_STRIDES
         rows = live.shape[0]
-        # steps this chunk; `ends` rows finish the epoch with the partial step
-        left = self.n_full[live] + 1 - self.done[live]
+        # strides this chunk; `ends` rows finish the epoch with the partial one
+        left = self.n_str[live] - self.done[live]
         k = np.minimum(width, left)
         ends = k == left
         z = self.z[:rows]
         for z_row, s, n in zip(self.z_rows, live.tolist(), k.tolist()):
-            self.streams[s].rng.standard_normal(out=z_row[:n])
+            self.normal[s](out=z_row[:n])
         x0 = self.x[live]
-        t_chunk = self.t0[live] + self.done[live] * h
-        # xs[:, j] is the value at node j of the chunk; node 0 is its start
+        t_chunk = self.t0[live] + self.done[live] * H
+        # xs[:, j] is the value at stride node j of the chunk; node 0 its start
         xs = np.empty((rows, width + 1))
         xs[:, 0] = x0
-        tab.walk(x0, z, out=xs[:, 1:])
+        self.coarse.walk(x0, z, out=xs[:, 1:])
         er = np.flatnonzero(ends)
         ek = k[er]
-        xs[er, ek] = ou_exact_step(xs[er, ek - 1], self.dt_last[live[er]],
-                                   z[er, ek - 1], p)
-        for i in er[ek < width]:
-            xs[i, k[i] + 1:] = -np.inf     # past the epoch: never near a
+        L_e = self.L_last[live[er]]
+        xs[er, ek] = ou_exact_step(xs[er, ek - 1], L_e, z[er, ek - 1], p)
+        # past the epoch: never near a
+        xs[np.arange(width + 1) > np.where(ends, k, width)[:, None]] = -np.inf
 
-        # first step (0-based) whose end is at or above the barrier, else k
-        above = xs[:, 1:] >= a
+        # refine every stride up to the first that ends at or above a whose
+        # bridge probability exceeds the bound (one ending at a has 1). A
+        # stride of one fine step is its own fine walk, monitored as a fine
+        # step is: whenever its probability is at least exp(_LOG_TINY)
+        y = xs - a
+        with np.errstate(invalid="ignore"):
+            log_p = _bridge_log_prob(y[:, :-1], y[:, 1:], p.sigma, H)
+        log_p[er, ek - 1] = _bridge_log_prob(y[er, ek - 1], y[er, ek], p.sigma,
+                                             L_e)
+        steps = np.full((rows, width), self.m)   # fine steps of each stride
+        steps[er, ek - 1] = self.n_last[live[er]]
+        above = y[:, 1:] >= 0.0
         first = above.argmax(axis=1)
         hit = np.where(above[np.arange(rows), first], first, k)
-        cross = hit.copy()
-        bridged = np.zeros(rows, dtype=bool)
-        if self.cfg.bridge_correction:
-            self._bridge(live, xs, k, ends, hit, cross, bridged)
-        crossed = cross < k
-        # crossing step of each crossed row; its length is h unless partial
-        cr = np.flatnonzero(crossed)
-        cc = cross[cr]
-        dt_c = np.where(ends[cr] & (cc == k[cr] - 1), self.dt_last[live[cr]], h)
-        x_lo, x_hi = xs[cr, cc], xs[cr, cc + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = np.where(x_hi > x_lo, (a - x_lo) / (x_hi - x_lo), 1.0)
-        theta = np.where(bridged[cr], 0.5, np.clip(theta, 0.0, 1.0))
-        tau = t_chunk[cr] + cc * h + theta * dt_c
+        refine = np.where(steps > 1, log_p > math.log(_EPS_BRIDGE),
+                          log_p >= _LOG_TINY) & (np.arange(width) <= hit[:, None])
+        rr, kk = np.nonzero(refine)       # by row, then in stride order
+        fine = self._refine(live, xs, rr, kk, steps[rr, kk],
+                            ends[rr] & (kk == k[rr] - 1))
+        F, n_f, last, cross, piece = fine
+        # the first crossing stride of each crossed row
+        crossed = np.flatnonzero(cross < n_f)
+        cri = crossed[np.diff(rr[crossed], prepend=-1) > 0]
+        pr, cs = rr[cri], kk[cri]
+        tau = t_chunk[pr] + cs * H + cross[cri] * h + piece[cri]
+        self.work["strides"] += int(k.sum())
+        self.work["refined"] += rr.size
+        self.work["normals"] += int(k.sum() + n_f[n_f > 1].sum())
         if self.q.shape[0]:
-            self._compensate(live, xs, k, ends, cross, t_chunk,
-                             (cr, cc, theta * dt_c, tau))
-        self._finish(live[cr], Mode.CREEP, tau, pre=a)
+            stop = k.copy()               # strides before the crossing one
+            stop[pr] = cs
+            self._compensate(live, y, k, ends, refine, stop, t_chunk, rr, kk,
+                             fine)
+        self._finish(live[pr], Mode.CREEP, tau, pre=a)
         # the others move to the chunk end and take the jump at epoch ends
-        go = ~crossed
+        go = np.ones(rows, dtype=bool)
+        go[pr] = False
         self.x[live[go]] = xs[go, k[go]]
-        self.done[live[go]] += k[go] - ends[go]
+        self.done[live[go]] += k[go]
         self._jumps(live[go & ends])
 
-    def _bridge(self, live, xs, k, ends, hit, cross, bridged):
-        """Crossings inside steps with both ends below the barrier.
+    def _refine(self, live, xs, rr, kk, n_f, last):
+        """Walk the refined strides on the fine grid and find the crossings.
 
-        Draws one uniform per step before the first hard hit whose bridge
-        probability is nonzero, and lowers `cross` to the first step where
-        the uniform falls below it.
+        Row i of F holds the n_f[i] fine steps of stride kk[i] of chunk row
+        rr[i], conditioned on both of its ends; last[i] marks the partial
+        stride onto the epoch. Returns F, n_f, last, each row's first
+        crossing step (cross, n_f if none) and the time from the start of
+        that step to the crossing (piece).
         """
-        sigma, h, a = self.p.sigma, self.cfg.step, self.p.a
-        # exp(-2 y0 y1 / (sigma^2 dt)) underflows to zero once y0 y1 exceeds
-        # 373 sigma^2 dt, and dt <= h, so a step with a nonzero probability
-        # has an end within 20 sigma sqrt(h) of the barrier
-        near = xs > a - 20.0 * sigma * math.sqrt(h)
-        rr, cc = np.nonzero(near[:, :-1] | near[:, 1:])
-        before = cc < hit[rr]
-        rr, cc = rr[before], cc[before]
-        if rr.size == 0:
-            return
-        dt = np.where(ends[rr] & (cc == k[rr] - 1), self.dt_last[live[rr]], h)
-        prob = _bridge_prob(xs[rr, cc] - a, xs[rr, cc + 1] - a, sigma, dt)
-        keep = prob > 0.0
-        rr, cc, prob = rr[keep], cc[keep], prob[keep]
-        counts = np.bincount(rr, minlength=live.shape[0])
-        u = np.empty(rr.shape[0])
+        p, h, a, m = self.p, self.cfg.step, self.p.a, self.m
+        n = rr.shape[0]
+        slot = live[rr]
+        # one run of normals per path, strides in order, each row left-aligned;
+        # a stride of one step needs none
+        walked = np.where(n_f > 1, n_f, 0)
+        z = np.zeros((n, m))
+        drawn = np.empty(walked.sum())
+        self._draw(self.normal, slot, walked, drawn)
+        z[np.arange(m) < walked[:, None]] = drawn
+        F = np.empty((n, m + 1))
+        F[:, 0] = xs[rr, kk]
+        self.tab.walk(F[:, 0], z, out=F[:, 1:])
+        c = np.tile(self.cond, (n, 1))
+        li = np.flatnonzero(last)
+        if li.size:
+            lj = n_f[li]
+            F[li, lj] = ou_exact_step(F[li, lj - 1], self.dt_last[slot[li]],
+                                      z[li, lj - 1], p)
+            L = self.L_last[slot[li], None]
+            c[li] = _bridge_law(p, L, np.minimum(h * np.arange(1, m + 1), L))[1]
+        ar = np.arange(n)
+        end = xs[rr, kk + 1]
+        F[:, 1:] += c * (end - F[ar, n_f])[:, None]
+        F[ar, n_f] = end
+        F[np.arange(m + 1) > n_f[:, None]] = -np.inf
+
+        # each stride's first fine step ending at or above a, else n_f
+        above = F[:, 1:] >= a
+        first = above.argmax(axis=1)
+        cross = np.where(above[ar, first], first, n_f)
+        bridged = np.zeros(n, dtype=bool)
+        if self.cfg.bridge_correction:
+            self.work["uniforms"] += self._bridge(slot, F, n_f, last, cross,
+                                                  bridged)
+        cc = np.minimum(cross, n_f - 1)
+        dt_c = np.where(last & (cc == n_f - 1), self.dt_last[slot], h)
+        x_lo, x_hi = F[ar, cc], F[ar, cc + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.where(x_hi > x_lo, (a - x_lo) / (x_hi - x_lo), 1.0)
+        theta = np.where(bridged, 0.5, np.clip(theta, 0.0, 1.0))
+        return F, n_f, last, cross, theta * dt_c
+
+    def _bridge(self, slot, F, n_f, last, cross, bridged) -> int:
+        """Crossings inside fine steps with both ends below the barrier.
+
+        Draws one uniform per step before `cross` whose bridge probability
+        is at least exp(_LOG_TINY), and lowers `cross` to the first step
+        where the uniform falls below it. Row i belongs to the path in
+        `slot[i]`. Returns the number of uniforms drawn.
+        """
+        sigma, h, m = self.p.sigma, self.cfg.step, self.m
+        y = F - self.p.a
+        with np.errstate(invalid="ignore"):
+            log_p = _bridge_log_prob(y[:, :-1], y[:, 1:], sigma, h)
+        li = np.flatnonzero(last)
+        lj = n_f[li] - 1
+        log_p[li, lj] = _bridge_log_prob(y[li, lj], y[li, lj + 1], sigma,
+                                         self.dt_last[slot[li]])
+        at = np.flatnonzero((log_p >= _LOG_TINY)
+                            & (np.arange(m) < cross[:, None]))
+        if at.size == 0:
+            return 0
+        rr, cc = at // m, at % m
+        # rows of one path are adjacent, so its uniforms are one run of u
+        u = np.empty(at.shape[0])
+        self._draw(self.uniform, slot[rr], None, u)
+        below = np.flatnonzero(u < np.exp(log_p.ravel()[at]))
+        first = below[np.diff(rr[below], prepend=-1) > 0]
+        cross[rr[first]] = cc[first]
+        bridged[rr[first]] = True
+        return u.shape[0]
+
+    def _draw(self, method, slots, counts, out):
+        """Fill out with counts[i] draws (1 if None) for each entry i.
+
+        method[s] draws from slot s. slots is nondecreasing, so the draws of
+        one path are one run of out.
+        """
+        counts = np.bincount(slots, counts, len(self.streams)).astype(np.int64)
         pos = 0
-        drawn = counts > 0
-        for s, m in zip(live[drawn].tolist(), counts[drawn].tolist()):
-            self.streams[s].rng.random(out=u[pos:pos + m])
-            pos += m
-        below = u < prob
-        first_rows, first = np.unique(rr[below], return_index=True)
-        cross[first_rows] = cc[below][first]
-        bridged[first_rows] = True
+        for s in np.flatnonzero(counts).tolist():
+            n = int(counts[s])
+            method[s](out=out[pos:pos + n])
+            pos += n
 
-    def _compensate(self, live, xs, k, ends, cross, t_chunk, crossing):
-        """Add each row's trapezoid of exp(-q s) lam exp(-eta (a - X_s)).
+    def _compensate(self, live, y, k, ends, refine, stop, t_chunk, rr, kk,
+                    fine):
+        """Add each row's integral of exp(-q s) lam exp(-eta (a - X_s)).
 
-        The trapezoid runs over the chunk's nodes up to the crossing step or
-        the partial step; the crossing step adds its piece onto (tau, lam),
-        the partial step its piece onto the epoch. Each row is summed on its
-        own over the full chunk width, so a path's sum does not depend on
-        the rows beside it.
+        Strides before `stop` count whole, and the crossing stride up to
+        tau. An unrefined stride adds the Rao-Blackwell integral of the
+        lognormal mean given its ends; a refined one the trapezoid of its
+        fine nodes. Each row is summed on its own in a fixed order, so a
+        path's sum does not depend on the rows beside it.
+        """
+        p, q, H = self.p, self.q, self.H
+        rows, width = y.shape[0], y.shape[1] - 1
+        # full unrefined strides: one einsum per row over the full width. The
+        # gaps are clipped to [-_CLIP_GAP / eta, 0], a change below
+        # exp(-_CLIP_GAP), so that every exp stays in the normal range and
+        # the strides left out give finite zeros
+        whole = (np.arange(width) < np.minimum(stop, k - ends)[:, None]) & ~refine
+        yc = np.clip(y, -_CLIP_GAP / p.eta, 0.0)[:, None, :]
+        rb = yc[:, :, :-1] * self.rb_a
+        rb += yc[:, :, 1:] * self.rb_b
+        np.exp(rb, out=rb)
+        rb *= whole[:, None, :]
+        acc = np.einsum("lj,qj->lq", rb.reshape(rows, -1), self.rb_w)
+        # an unrefined partial stride onto the epoch, by the same rule
+        er = np.flatnonzero(ends & (stop == k))
+        er = er[~refine[er, k[er] - 1]]
+        if er.size:
+            L = self.L_last[live[er], None]
+            s = L * self.gl[0]
+            eta_a, eta_b, log_w = self._rb_terms(L, s, L * self.gl[1])
+            node = np.exp(eta_a * yc[er, 0, k[er] - 1, None]
+                          + eta_b * yc[er, 0, k[er], None] + log_w)
+            t_off = (k[er] - 1) * H
+            for i in range(s.shape[1]):
+                acc[er] += node[:, i, None] * np.exp(-np.outer(t_off + s[:, i], q))
+        # refined strides up to the crossing one, in stride order
+        keep = kk <= stop[rr]
+        part = self._trapezoid(live[rr[keep]], *(f[keep] for f in fine))
+        np.add.at(acc, rr[keep], part * np.exp(-np.outer(kk[keep] * H, q)))
+        self.comp[live] += np.exp(-np.outer(t_chunk, q)) * acc
+
+    def _trapezoid(self, slot, F, k, ends, cross, piece):
+        """Trapezoid of exp(-q s) lam exp(-eta (a - X_s)) over fine nodes.
+
+        s runs from each row's node 0. The trapezoid runs up to the
+        crossing step or the partial step; the crossing step adds its
+        piece onto (tau, lam), the partial step its piece onto the epoch.
         """
         p, h, q = self.p, self.cfg.step, self.q
-        disc = self.tab.disc
-        ar = np.arange(xs.shape[0])
-        phi = np.minimum(xs, p.a)
+        disc = self.tab.disc[:, :F.shape[1]]
+        ar = np.arange(F.shape[0])
+        # gaps clipped as in _compensate
+        phi = np.clip(F - p.a, -_CLIP_GAP / p.eta, 0.0)
         phi *= p.eta
-        phi += math.log(p.lam) - p.eta * p.a
+        phi += math.log(p.lam)
         np.exp(phi, out=phi)
-        cr, cc, piece, tau = crossing
         er = np.flatnonzero(ends & (cross >= k))
         ek = k[er]
         tail = phi[er, ek]                  # the value at the epoch
         last = np.minimum(cross, k - ends)  # last full-step node
-        for i in np.flatnonzero(last < xs.shape[1] - 1):
-            phi[i, last[i] + 1:] = 0.0
+        phi[np.arange(F.shape[1]) > last[:, None]] = 0.0
         acc = np.einsum("lj,qj->lq", phi, disc)
         acc -= 0.5 * (phi[:, 0, None] * disc[:, 0]
                       + phi[ar, last, None] * disc[:, last].T)
         acc *= h
-        acc[cr] += 0.5 * piece[:, None] * (
+        cr = np.flatnonzero(cross < k)
+        cc = cross[cr]
+        acc[cr] += 0.5 * piece[cr, None] * (
             phi[cr, cc, None] * disc[:, cc].T
-            + p.lam * np.exp(-np.outer(tau - t_chunk[cr], q)))
-        acc[er] += 0.5 * self.dt_last[live[er], None] * (
+            + p.lam * np.exp(-np.outer(cc * h + piece[cr], q)))
+        acc[er] += 0.5 * self.dt_last[slot[er], None] * (
             phi[er, ek - 1, None] * disc[:, ek - 1].T
-            + tail[:, None] * np.exp(-np.outer(self.t_end[live[er]] - t_chunk[er], q)))
-        self.comp[live] += np.exp(-np.outer(t_chunk, q)) * acc
+            + tail[:, None] * np.exp(-np.outer(self.L_last[slot[er]], q)))
+        return acc
 
 
 def _run_block(params: ModelParams, config: SimConfig, q_list,
@@ -532,15 +763,17 @@ def run_paths(params: ModelParams, config: SimConfig,
     overshoots = np.concatenate([r[3] for r in results])
     pre = np.concatenate([r[4] for r in results])
     comp = np.concatenate([r[5] for r in results], axis=0)
-    return SimResult(params, config, q_tuple, modes, taus, overshoots, pre, comp)
+    work = {key: sum(r[6][key] for r in results) for key in _WORK}
+    return SimResult(params, config, q_tuple, modes, taus, overshoots, pre,
+                     comp, work)
 
 
 def simulate_crossing(params: ModelParams, config: SimConfig, q: float = 0.0,
                       path_index: int = 0) -> SimResult:
     """Simulate path path_index alone, as a one-row SimResult with q_list (q,).
 
-    Runs the batch engine on a group of one path, so every field equals row
-    path_index of a run_paths batch with the same settings.
+    Runs the batch engine on a group of one path, so every field but work
+    equals row path_index of a run_paths batch with the same settings.
     """
     q_tuple = (float(q),)
     _, *rows = _run_block(params, config, q_tuple, path_index, 1)

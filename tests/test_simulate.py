@@ -21,7 +21,7 @@ from passagelab.simulate import (
     _path_rng,
     _StepTables,
     _Stream,
-    _bridge_prob,
+    _bridge_log_prob,
     cp_to_path,
     ou_exact_step,
     run_compound_poisson,
@@ -187,6 +187,10 @@ def _cn_survival(y0: float, a: float, sigma: float, dt: float,
     return float(np.interp(y0, ys, u))
 
 
+def _bridge_prob(y0, y1, sigma, dt):
+    return np.exp(_bridge_log_prob(y0, y1, sigma, dt))
+
+
 class TestBridge:
     def test_limits(self):
         tiny = _bridge_prob(-3.0, -3.0, 0.3, 1e-3)
@@ -216,13 +220,18 @@ class TestBridge:
 class TestEngine:
     CFG = SimConfig(horizon=10.0, step=2e-3, seed=99, n_paths=768)
 
-    def test_worker_counts_bitwise_identical(self):
+    def test_worker_counts_bitwise_identical(self, monkeypatch):
         a = run_paths(REF, self.CFG, q_list=(0.05,), workers=1)
+        # blocks of 256 paths, so that three workers share the batch
+        monkeypatch.setattr(simulate, "_BLOCK", 256)
         b = run_paths(REF, self.CFG, q_list=(0.05,), workers=3)
         assert np.array_equal(a.modes, b.modes)
         assert np.array_equal(a.taus, b.taus)
         assert np.array_equal(a.overshoots, b.overshoots, equal_nan=True)
         assert np.array_equal(a.comp, b.comp)
+        assert a.work == b.work
+        assert set(a.work) == {"strides", "refined", "normals", "uniforms"}
+        assert all(type(v) is int and v > 0 for v in a.work.values())
 
     def test_worker_count_below_one_is_rejected(self):
         for workers in (0, -2):
@@ -285,7 +294,7 @@ class TestEngine:
 
     def test_records_stream_version(self):
         assert run_paths(REF, dataclasses.replace(self.CFG, n_paths=4)
-                         ).stream_version == STREAM_VERSION == 2
+                         ).stream_version == STREAM_VERSION == 3
 
 
 _FIELDS = ("modes", "taus", "overshoots", "pre_jump_levels", "comp")
@@ -328,11 +337,15 @@ class TestReplay:
     def test_group_width_does_not_change_results(self, batch, width,
                                                  monkeypatch):
         monkeypatch.setattr(simulate, "_GROUP_WIDTH", width)
-        _assert_same(batch, run_paths(REF, self.CFG, q_list=self.Q, workers=1))
+        other = run_paths(REF, self.CFG, q_list=self.Q, workers=1)
+        _assert_same(batch, other)
+        assert batch.work == other.work
 
     def test_block_size_does_not_change_results(self, batch, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK", 333)
-        _assert_same(batch, run_paths(REF, self.CFG, q_list=self.Q, workers=2))
+        other = run_paths(REF, self.CFG, q_list=self.Q, workers=2)
+        _assert_same(batch, other)
+        assert batch.work == other.work
 
     def test_q_list_does_not_change_results(self, batch):
         alone = run_paths(REF, self.CFG, q_list=(0.05,), workers=1)
@@ -350,6 +363,133 @@ class TestReplay:
             out = simulate_crossing(params, cfg, q=0.1, path_index=i)
             _assert_same(out, res, rows=slice(i, i + 1))
 
+
+def _mode_gap(a, b, code):
+    """Difference of a mode's frequency in two batches, in standard errors."""
+    pa, pb = (float(np.mean(r.modes == code)) for r in (a, b))
+    se = math.sqrt(pa * (1.0 - pa) / a.n + pb * (1.0 - pb) / b.n)
+    return abs(pa - pb) / se
+
+
+class TestStrides:
+    """The coarse-stride walk against the plain fine walk it refines.
+
+    With _STRIDE forced to 1 every stride is one fine step and is its own
+    fine walk, so that engine draws every path on the fine grid.
+    """
+
+    Q = (0.05,)
+
+    def _pair(self, params, cfg, monkeypatch):
+        coarse = run_paths(params, cfg, q_list=self.Q)
+        with monkeypatch.context() as mp:
+            mp.setattr(simulate, "_STRIDE", 1)
+            fine = run_paths(params, dataclasses.replace(cfg, seed=cfg.seed + 1),
+                             q_list=self.Q)
+        return coarse, fine
+
+    def test_same_law_as_the_fine_walk(self, monkeypatch):
+        from scipy.stats import ks_2samp
+        cfg = SimConfig(horizon=10.0, step=5e-3, seed=4100, n_paths=3000)
+        coarse, fine = self._pair(REF, cfg, monkeypatch)
+        assert coarse.work["strides"] * 8 < fine.work["strides"]
+        for code in (CREEP, JUMP_OVER, CENSORED):
+            assert _mode_gap(coarse, fine, code) < 4.0
+        crossed = [r.taus[np.isfinite(r.taus)] for r in (coarse, fine)]
+        assert ks_2samp(*crossed).pvalue > 0.01
+        creeps = [r.taus[r.modes == CREEP] for r in (coarse, fine)]
+        assert ks_2samp(*creeps).pvalue > 0.01
+        # the Rao-Blackwell integral and the trapezoid agree in mean
+        means = [r.comp[:, 0].mean() for r in (coarse, fine)]
+        se = math.hypot(*(r.comp[:, 0].std() / math.sqrt(r.n)
+                          for r in (coarse, fine)))
+        assert abs(means[0] - means[1]) < 4.0 * se
+
+    def test_brownian_creep_probability(self):
+        # no drift, no mean reversion, no jumps to speak of: the barrier one
+        # unit above the start is reached by t = 1 with probability
+        # P(max W <= 1) = 2 (1 - Phi(1)) by the reflection principle
+        params = ModelParams(alpha=0.0, beta=0.0, sigma=1.0, lam=1e-9,
+                             eta=2.0, a=1.0, x=0.0)
+        res = run_paths(params, SimConfig(horizon=1.0, step=1e-3, seed=77,
+                                          n_paths=20_000))
+        want = math.erfc(1.0 / math.sqrt(2.0))
+        got = float(np.mean(res.modes == CREEP))
+        assert abs(got - want) < 4.0 * math.sqrt(want * (1.0 - want) / res.n)
+        assert not np.any(res.modes == JUMP_OVER)
+
+    def test_horizon_shorter_than_one_stride(self, monkeypatch):
+        # 30 fine steps, fewer than a stride: each path is one partial stride
+        near = dataclasses.replace(REF, x=0.95)
+        cfg = SimConfig(horizon=0.03, step=1e-3, seed=4200, n_paths=3000)
+        assert cfg.horizon < simulate._STRIDE * cfg.step
+        coarse, fine = self._pair(near, cfg, monkeypatch)
+        # one stride per epoch, and few paths take a jump that stays below
+        assert coarse.n <= coarse.work["strides"] < 1.01 * coarse.n
+        assert np.all(coarse.taus[np.isfinite(coarse.taus)] <= cfg.horizon)
+        assert np.all(np.isfinite(coarse.comp))
+        for code in (CREEP, CENSORED):
+            assert _mode_gap(coarse, fine, code) < 4.0
+
+    def test_start_at_the_barrier_creeps_at_once(self):
+        # the first stride's bridge probability is about 1, so it is
+        # refined, and its first fine step crosses
+        cfg = SimConfig(horizon=5.0, step=1e-3, seed=4300, n_paths=200)
+        res = run_paths(dataclasses.replace(REF, x=REF.a - 1e-12), cfg,
+                        q_list=(0.1,))
+        assert np.all(res.modes == CREEP)
+        assert np.all(res.taus <= cfg.step)
+        assert res.work["refined"] >= res.n
+        assert np.all(res.comp <= REF.lam * cfg.step)
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.8, 0.0])
+    def test_bridge_law_is_gaussian_conditioning(self, beta):
+        # mean and variance of X_s given both ends, from the covariances of
+        # the exact steps: Cov(X_s, X_L) = Var(X_s) exp(beta (L - s))
+        params = dataclasses.replace(REF, beta=beta)
+        L, s = 0.7, np.array([0.05, 0.3, 0.69])
+        g_s, m_s, sd_s = (np.asarray(c) for c in simulate._ou_coeffs(s, params))
+        g_r, _, _ = simulate._ou_coeffs(L - s, params)
+        g_L, m_L, sd_L = simulate._ou_coeffs(L, params)
+        x0, x1 = -0.4, 0.2
+        c = sd_s ** 2 * g_r / sd_L ** 2
+        mean = x0 * g_s + m_s + c * (x1 - x0 * g_L - m_L)
+        var = sd_s ** 2 - c * c * sd_L ** 2
+        A, B, C, V = simulate._bridge_law(params, L, s)
+        assert np.allclose(A * x0 + B * x1 + C, mean, rtol=1e-12, atol=1e-14)
+        assert np.allclose(V, var, rtol=1e-10, atol=1e-15)
+        assert np.allclose(B, c, rtol=1e-12)
+
+    def test_written_out_rule_is_the_quadrature_rule(self):
+        from passagelab.quad import _gl_rule
+        nodes, weights = _gl_rule(4)
+        assert np.array_equal(simulate._GL_NODES, nodes)
+        assert np.array_equal(simulate._GL_WEIGHTS, weights)
+
+    def test_bridge_law_is_continuous_at_beta_zero(self):
+        L, s = 0.7, np.array([0.05, 0.3, 0.69])
+        at_zero = simulate._bridge_law(dataclasses.replace(REF, beta=0.0), L, s)
+        for beta in (1e-7, -1e-7):
+            near = simulate._bridge_law(dataclasses.replace(REF, beta=beta), L, s)
+            for got, want in zip(near, at_zero):
+                assert np.allclose(got, want, rtol=1e-6, atol=1e-8)
+
+    def test_stream_layout_is_pinned(self):
+        # values recorded from the stream layout of STREAM_VERSION 3
+        res = run_paths(REF, SimConfig(horizon=10.0, step=1e-3, seed=2026,
+                                       n_paths=6), q_list=(0.05,))
+        assert res.modes.tolist() == [CREEP, CREEP, JUMP_OVER, JUMP_OVER,
+                                      CREEP, CREEP]
+        assert [float(t).hex() for t in res.taus] == [
+            "0x1.bb7597dfc5fffp-1", "0x1.742a9320fb9dfp+2",
+            "0x1.e52b80170f0e4p+1", "0x1.422a08a52fc27p-3",
+            "0x1.15fd9cb3bc60ap+1", "0x1.12b22d6937684p+3"]
+        assert [float(c).hex() for c in res.comp[:, 0]] == [
+            "0x1.a5db703fede50p-2", "0x1.a9746863b9a8ep+0",
+            "0x1.137ff5fab7fd2p+0", "0x1.4a0f0f78c750cp-6",
+            "0x1.41929b504e0a2p-1", "0x1.52d16c1e109e2p+1"]
+        assert res.work == {"strides": 375, "refined": 63, "normals": 4393,
+                            "uniforms": 1548}
 
 class TestCompoundPoisson:
     def test_degenerate_unit_jump_hits_exactly(self):
