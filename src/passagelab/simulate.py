@@ -9,24 +9,24 @@ and variance, so the step size controls only barrier monitoring, not the
 marginal law. Each epoch has a fine grid of step h = config.step from its
 start, with one partial step (of length in (0, h]) onto the epoch itself,
 and is walked in exact strides of m fine steps (m = _STRIDE = 64, halved
-while |beta| m h > 1), the last one partial. A stride is refined only when
-its Brownian-bridge crossing probability exp(-2 y0 y1 / (sigma^2 L)), for
-the gaps y = X - a at its ends, exceeds _EPS_BRIDGE = 1e-14; it is 1 for a
-stride ending at or above a. A refined stride walks its fine nodes from its
-start and conditions them on the drawn end by the exact Gaussian
-correction X_j += c_j (x_end - X_m), c_j = Cov(X_{t_j}, X_L) / Var(X_L)
-given X_0, so they have the law of the plain fine walk; a Brownian-bridge
-correction for crossings inside a fine step and the trapezoid compensator
-run on them. A stride of one fine step is its own fine walk, monitored
-whenever its probability is at least exp(-708), so m = 1 gives the plain
-fine walk. An unrefined stride is not monitored: by the bridge probability
-the fine walk's correction also uses, a path's crossing law moves by at
-most _EPS_BRIDGE per stride, about 5e-13 at the reference model (about 51
-strides per path). Its compensator is the Rao-Blackwellised integral of
-exp(-q s) lam E[exp(-eta (a - X_s)) | ends], a lognormal mean under the
-Gaussian bridge, by a 4-node Gauss-Legendre rule. The compensator reads
-eta (X - a) clipped at -300, a change below exp(-300), so that no exp
-leaves the normal range.
+while |beta| m h or eta sigma sqrt(m h) exceeds 1), the last one partial.
+A stride is refined only when its Brownian-bridge crossing probability
+exp(-2 y0 y1 / (sigma^2 L)), for the gaps y = X - a at its ends, exceeds
+_EPS_BRIDGE = 1e-14; it is 1 for a stride ending at or above a. A refined
+stride walks its fine nodes from its start and conditions them on the
+drawn end by the exact Gaussian correction X_j += c_j (x_end - X_m),
+c_j = Cov(X_{t_j}, X_L) / Var(X_L) given X_0, so they have the law of the
+plain fine walk; a Brownian-bridge correction for crossings inside a fine
+step and the trapezoid compensator run on them. A stride of one fine step
+is its own fine walk and is always refined, drawing no fine normals, so
+m = 1 gives the plain fine walk. An unrefined stride is not monitored: by
+the bridge probability the fine walk's correction also uses, a path's
+crossing law moves by at most _EPS_BRIDGE per stride, about 5e-13 at the
+reference model (about 51 strides per path). Its compensator is the
+Rao-Blackwellised integral of exp(-q s) lam E[exp(-eta (a - X_s)) | ends],
+a lognormal mean under the Gaussian bridge, by a 4-node Gauss-Legendre
+rule. The compensator reads eta (X - a) clipped at -300, a change below
+exp(-300), so that no exp leaves the normal range.
 
 Because jumps are upward and exponential, a crossing is either a creep of
 the diffusion part onto the barrier or a strict jump over it; a jump can
@@ -341,11 +341,15 @@ class _Group:
         self.count = count
         h = config.step
         self.tab = _StepTables(params, h, q_arr)
-        # fine steps per stride, halved while |beta| H > 1: then the bridge
-        # law varies on the scale of the stride, so a fixed rule integrates
-        # it, and exp(beta H) stays small
+        # fine steps per stride, halved while |beta| H or eta sigma sqrt(H)
+        # exceeds 1: then the lognormal mean varies little over a stride, so
+        # a fixed rule integrates it, exp(beta H) stays small, and on a
+        # stride with crossing probability below _EPS_BRIDGE the part of the
+        # mean above the barrier, which the compensator clips, is below
+        # 1e-12 of it
         self.m = _STRIDE
-        while self.m > 1 and abs(params.beta) * h * self.m > 1.0:
+        while self.m > 1 and max(abs(params.beta) * self.m * h, params.eta
+                                 * params.sigma * math.sqrt(self.m * h)) > 1.0:
             self.m //= 2
         self.H = self.m * h
         self.coarse = _StepTables(params, self.H, q_arr[:0])
@@ -353,15 +357,17 @@ class _Group:
         self.cond = _bridge_law(params, self.H, h * np.arange(1, self.m + 1))[1]
         # Rao-Blackwell rule of a full stride: at node i, exp(eta (A y0 + B y1))
         # times rb_w[q, i * _CHUNK_STRIDES + k], the rest of node i of
-        # stride k of a chunk, discount included (see _rb_terms)
+        # stride k of a chunk, discount included (see _rb_terms). Strides of
+        # one fine step are all refined and take no rule
         self.gl = (0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS)
-        s = self.H * self.gl[0]
-        self.rb_a, self.rb_b, log_w = self._rb_terms(self.H, s,
-                                                     self.H * self.gl[1])
-        self.rb_a, self.rb_b = self.rb_a[:, None], self.rb_b[:, None]
-        offsets = (s[:, None] + self.H * np.arange(_CHUNK_STRIDES)).ravel()
-        self.rb_w = np.exp(np.repeat(log_w, _CHUNK_STRIDES)
-                           - np.outer(q_arr, offsets))
+        if self.m > 1:
+            s = self.H * self.gl[0]
+            self.rb_a, self.rb_b, log_w = self._rb_terms(self.H, s,
+                                                         self.H * self.gl[1])
+            self.rb_a, self.rb_b = self.rb_a[:, None], self.rb_b[:, None]
+            offsets = (s[:, None] + self.H * np.arange(_CHUNK_STRIDES)).ravel()
+            self.rb_w = np.exp(np.repeat(log_w, _CHUNK_STRIDES)
+                               - np.outer(q_arr, offsets))
         slots = min(_GROUP_WIDTH, count)
         self.streams = [_Stream() for _ in range(slots)]
         # each slot's draw methods; re-keying keeps the generator objects
@@ -515,8 +521,7 @@ class _Group:
 
         # refine every stride up to the first that ends at or above a whose
         # bridge probability exceeds the bound (one ending at a has 1). A
-        # stride of one fine step is its own fine walk, monitored as a fine
-        # step is: whenever its probability is at least exp(_LOG_TINY)
+        # stride of one fine step is its own fine walk, always refined
         y = xs - a
         with np.errstate(invalid="ignore"):
             log_p = _bridge_log_prob(y[:, :-1], y[:, 1:], p.sigma, H)
@@ -526,9 +531,9 @@ class _Group:
         steps[er, ek - 1] = self.n_last[live[er]]
         above = y[:, 1:] >= 0.0
         first = above.argmax(axis=1)
-        hit = np.where(above[np.arange(rows), first], first, k)
-        refine = np.where(steps > 1, log_p > math.log(_EPS_BRIDGE),
-                          log_p >= _LOG_TINY) & (np.arange(width) <= hit[:, None])
+        hit = np.where(above[np.arange(rows), first], first, k - 1)
+        refine = ((log_p > math.log(_EPS_BRIDGE)) | (steps == 1)) \
+            & (np.arange(width) <= hit[:, None])
         rr, kk = np.nonzero(refine)       # by row, then in stride order
         fine = self._refine(live, xs, rr, kk, steps[rr, kk],
                             ends[rr] & (kk == k[rr] - 1))
@@ -665,13 +670,16 @@ class _Group:
         # gaps are clipped to [-_CLIP_GAP / eta, 0], a change below
         # exp(-_CLIP_GAP), so that every exp stays in the normal range and
         # the strides left out give finite zeros
-        whole = (np.arange(width) < np.minimum(stop, k - ends)[:, None]) & ~refine
         yc = np.clip(y, -_CLIP_GAP / p.eta, 0.0)[:, None, :]
-        rb = yc[:, :, :-1] * self.rb_a
-        rb += yc[:, :, 1:] * self.rb_b
-        np.exp(rb, out=rb)
-        rb *= whole[:, None, :]
-        acc = np.einsum("lj,qj->lq", rb.reshape(rows, -1), self.rb_w)
+        acc = np.zeros((rows, q.shape[0]))
+        if self.m > 1:
+            whole = (np.arange(width) < np.minimum(stop, k - ends)[:, None]) \
+                & ~refine
+            rb = yc[:, :, :-1] * self.rb_a
+            rb += yc[:, :, 1:] * self.rb_b
+            np.exp(rb, out=rb)
+            rb *= whole[:, None, :]
+            acc += np.einsum("lj,qj->lq", rb.reshape(rows, -1), self.rb_w)
         # an unrefined partial stride onto the epoch, by the same rule
         er = np.flatnonzero(ends & (stop == k))
         er = er[~refine[er, k[er] - 1]]
@@ -681,9 +689,12 @@ class _Group:
             eta_a, eta_b, log_w = self._rb_terms(L, s, L * self.gl[1])
             node = np.exp(eta_a * yc[er, 0, k[er] - 1, None]
                           + eta_b * yc[er, 0, k[er], None] + log_w)
-            t_off = (k[er] - 1) * H
+            t = ((k[er] - 1) * H)[:, None] + s
+            terms = node[:, :, None] * np.exp(-(t[:, :, None] * q))
+            part = acc[er]
             for i in range(s.shape[1]):
-                acc[er] += node[:, i, None] * np.exp(-np.outer(t_off + s[:, i], q))
+                part += terms[:, i]
+            acc[er] = part
         # refined strides up to the crossing one, in stride order
         keep = kk <= stop[rr]
         part = self._trapezoid(live[rr[keep]], *(f[keep] for f in fine))

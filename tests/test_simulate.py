@@ -442,6 +442,16 @@ class TestStrides:
         assert res.work["refined"] >= res.n
         assert np.all(res.comp <= REF.lam * cfg.step)
 
+    def test_steep_jump_tail_keeps_the_compensator_finite(self):
+        # eta sigma sqrt(h) is far above 1, so every stride is one fine step
+        # and takes the trapezoid; the lognormal mean would overflow
+        steep = dataclasses.replace(REF, eta=1e12)
+        res = run_paths(steep, SimConfig(horizon=5.0, step=1e-3, seed=5,
+                                         n_paths=300), q_list=(0.0, 0.1))
+        assert res.work["normals"] == res.work["strides"]   # no fine normals
+        assert np.all(np.isfinite(res.comp))
+        assert res.comp.max() < 0.01
+
     @pytest.mark.parametrize("beta", [-0.5, 0.8, 0.0])
     def test_bridge_law_is_gaussian_conditioning(self, beta):
         # mean and variance of X_s given both ends, from the covariances of
