@@ -408,7 +408,7 @@ class TestStrides:
     def test_brownian_creep_probability(self):
         # no drift, no mean reversion, no jumps to speak of: the barrier one
         # unit above the start is reached by t = 1 with probability
-        # P(max W <= 1) = 2 (1 - Phi(1)) by the reflection principle
+        # P(max W >= 1) = 2 (1 - Phi(1)) by the reflection principle
         params = ModelParams(alpha=0.0, beta=0.0, sigma=1.0, lam=1e-9,
                              eta=2.0, a=1.0, x=0.0)
         res = run_paths(params, SimConfig(horizon=1.0, step=1e-3, seed=77,
@@ -500,6 +500,7 @@ class TestStrides:
             "0x1.41929b504e0a2p-1", "0x1.52d16c1e109e2p+1"]
         assert res.work == {"strides": 375, "refined": 63, "normals": 4393,
                             "uniforms": 1548}
+
 
 class TestCompoundPoisson:
     def test_degenerate_unit_jump_hits_exactly(self):
