@@ -10,23 +10,29 @@ marginal law. Each epoch has a fine grid of step h = config.step from its
 start, with one partial step (of length in (0, h]) onto the epoch itself,
 and is walked in exact strides of m fine steps (m = _STRIDE = 64, halved
 while |beta| m h or eta sigma sqrt(m h) exceeds 1), the last one partial.
-A stride is refined only when its Brownian-bridge crossing probability
-exp(-2 y0 y1 / (sigma^2 L)), for the gaps y = X - a at its ends, exceeds
-_EPS_BRIDGE = 1e-14; it is 1 for a stride ending at or above a. A refined
-stride walks its fine nodes from its start and conditions them on the
-drawn end by the exact Gaussian correction X_j += c_j (x_end - X_m),
-c_j = Cov(X_{t_j}, X_L) / Var(X_L) given X_0, so they have the law of the
-plain fine walk; a Brownian-bridge correction for crossings inside a fine
-step and the trapezoid compensator run on them. A stride of one fine step
-is its own fine walk and is always refined, drawing no fine normals, so
-m = 1 gives the plain fine walk. An unrefined stride is not monitored: by
-the bridge probability the fine walk's correction also uses, a path's
-crossing law moves by at most _EPS_BRIDGE per stride, about 5e-13 at the
-reference model (about 51 strides per path). Its compensator is the
-Rao-Blackwellised integral of exp(-q s) lam E[exp(-eta (a - X_s)) | ends],
-a lognormal mean under the Gaussian bridge, by a 4-node Gauss-Legendre
-rule. The compensator reads eta (X - a) clipped at -300, a change below
-exp(-300), so that no exp leaves the normal range.
+A stride of length L is refined only when its crossing probability
+exp(-2 y0 y1 / (sigma^2 L))^(bL / sinh(bL)), for the gaps y = X - a at
+its ends and b = |beta|, exceeds _EPS_BRIDGE = 1e-14; it is 1 for a
+stride ending at or above a. For beta = 0 that is the Brownian-bridge
+probability. Otherwise it is exact for the chord of the barrier's image
+in the time-changed clock of the OU process (see _chord_factor) and
+leaves out that image's curvature, of order |a - mu| (bL)^2 for the
+mean level mu = -alpha/beta. A refined stride walks its fine nodes from
+its start and conditions them on the drawn end by the exact Gaussian
+correction X_j += c_j (x_end - X_m), c_j = Cov(X_{t_j}, X_L) / Var(X_L)
+given X_0, so they have the law of the plain fine walk; a Brownian-bridge
+correction for crossings inside a fine step and the trapezoid compensator
+run on them. A stride of one fine step is its own fine walk and is always
+refined, drawing no fine normals, so m = 1 gives the plain fine walk.
+An unrefined stride is not monitored, so a path's crossing law moves by
+at most _EPS_BRIDGE per stride for beta = 0, and by about that while
+|a - mu| (bL)^2 is small against sigma sqrt(L): about 5e-13 per path at
+the reference model (about 51 strides per path; |a - mu| (bL)^2 = 8e-4
+against sigma sqrt(L) = 0.076). Its compensator is the Rao-Blackwellised
+integral of exp(-q s) lam E[exp(-eta (a - X_s)) | ends], a lognormal mean
+under the Gaussian bridge, by a 4-node Gauss-Legendre rule. The
+compensator clips the log of its integrand over lam at -300, a change
+below lam exp(-300), so that no exp leaves the normal range.
 
 Because jumps are upward and exponential, a crossing is either a creep of
 the diffusion part onto the barrier or a strict jump over it; a jump can
@@ -98,8 +104,7 @@ _GL_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
                       0.3399810435848563, 0.8611363115940526])
 _GL_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625462,
                         0.6521451548625462, 0.3478548451374538])
-_CLIP_GAP = 300.0      # the compensator reads eta (X - a) clipped at -_CLIP_GAP
-_CHUNK_STEPS = 512     # widest fine-step table
+_CLIP_EXP = 300.0      # bound on the compensator's exponents
 # cap on |beta| * h * chunk so the rescaled-cumsum recursion stays in range
 _LOG_CHUNK = 60.0
 
@@ -210,6 +215,23 @@ def _bridge_log_prob(y0, y1, sigma: float, dt):
     return -2.0 * y0 * y1 / (sigma * sigma * dt)
 
 
+def _chord_factor(beta: float, L):
+    """bL / sinh(bL), b = |beta|: the OU factor of a step's crossing exponent.
+
+    Over a step of length L the diffusion is exp(beta t) (x0 + M_t) plus a
+    shift, M a time-changed Brownian motion. Between gaps y0 and y1 < 0 the
+    bridge of M crosses the chord of the barrier's image in M's clock with
+    probability exp(-2 y0 y1 / (sigma^2 L)) to the power bL / sinh(bL). The
+    image bends away from that chord by about |a - mu| (bL)^2 / 8, for the
+    mean level mu = -alpha/beta, which the chord leaves out.
+    """
+    if beta == 0.0:
+        return 1.0
+    bl = abs(beta) * np.asarray(L, dtype=float)
+    with np.errstate(over="ignore"):
+        return bl / np.sinh(bl)
+
+
 def _bridge_law(params: ModelParams, L, s):
     """Law of X_s inside an exact step of length L, given both of its ends.
 
@@ -250,8 +272,9 @@ class _StepTables:
 
     def __init__(self, params: ModelParams, h: float, q_arr: np.ndarray):
         bh = abs(params.beta) * h
-        self.width = _CHUNK_STEPS if bh == 0.0 else \
-            max(1, min(_CHUNK_STEPS, int(_LOG_CHUNK / bh)))
+        widest = max(_STRIDE, _CHUNK_STRIDES)   # the longest walk of a call
+        self.width = widest if bh == 0.0 else \
+            max(1, min(widest, int(_LOG_CHUNK / bh)))
         self.params = params
         self.h = h
         with np.errstate(over="ignore"):
@@ -345,7 +368,7 @@ class _Group:
         # exceeds 1: then the lognormal mean varies little over a stride, so
         # a fixed rule integrates it, exp(beta H) stays small, and on a
         # stride with crossing probability below _EPS_BRIDGE the part of the
-        # mean above the barrier, which the compensator clips, is below
+        # mean above the barrier, which the trapezoid clips, is below
         # 1e-12 of it
         self.m = _STRIDE
         while self.m > 1 and max(abs(params.beta) * self.m * h, params.eta
@@ -355,16 +378,16 @@ class _Group:
         self.coarse = _StepTables(params, self.H, q_arr[:0])
         # conditioning coefficients c_j of the fine nodes of a full stride
         self.cond = _bridge_law(params, self.H, h * np.arange(1, self.m + 1))[1]
-        # Rao-Blackwell rule of a full stride: at node i, exp(eta (A y0 + B y1))
-        # times rb_w[q, i * _CHUNK_STRIDES + k], the rest of node i of
-        # stride k of a chunk, discount included (see _rb_terms). Strides of
-        # one fine step are all refined and take no rule
+        # Rao-Blackwell rule of a full stride: at node i, the exponent
+        # rb_a[i] y0 + rb_b[i] y1 + rb_c[i] (see _rb_terms) of stride k of a
+        # chunk is weighted by rb_w[q, i * _CHUNK_STRIDES + k], discount
+        # included. Strides of one fine step are all refined and take no rule
         self.gl = (0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS)
+        self.chord = _chord_factor(params.beta, self.H)
         if self.m > 1:
             s = self.H * self.gl[0]
-            self.rb_a, self.rb_b, log_w = self._rb_terms(self.H, s,
-                                                         self.H * self.gl[1])
-            self.rb_a, self.rb_b = self.rb_a[:, None], self.rb_b[:, None]
+            *abc, log_w = self._rb_terms(self.H, s, self.H * self.gl[1])
+            self.rb_a, self.rb_b, self.rb_c = (v[:, None] for v in abc)
             offsets = (s[:, None] + self.H * np.arange(_CHUNK_STRIDES)).ravel()
             self.rb_w = np.exp(np.repeat(log_w, _CHUNK_STRIDES)
                                - np.outer(q_arr, offsets))
@@ -399,16 +422,15 @@ class _Group:
     def _rb_terms(self, L, s, w):
         """The Rao-Blackwell integrand of strides of length L at nodes s.
 
-        Returns eta A, eta B and the log of lam w exp(eta (C - a (1 - A - B))
-        + eta^2 V / 2), so that the node adds exp(eta A y0 + eta B y1 + log)
-        exp(-q s) for the gaps y = X - a of the ends: the lognormal mean of
-        lam exp(-eta (a - X_s)) given the ends, times the node weight w.
+        Returns eta A, eta B, c = eta (C - a (1 - A - B)) + eta^2 V / 2 and
+        log(lam w). For the gaps y = X - a of the ends, eta A y0 + eta B y1
+        + c is the log of the lognormal mean E[exp(-eta (a - X_s)) | ends],
+        and the node adds that mean times lam w exp(-q s).
         """
         A, B, C, V = _bridge_law(self.p, L, s)
         eta = self.p.eta
-        log_rest = math.log(self.p.lam) + np.log(w) + 0.5 * eta * eta * V \
-            + eta * (C - self.p.a * (1.0 - A - B))
-        return eta * A, eta * B, log_rest
+        c = 0.5 * eta * eta * V + eta * (C - self.p.a * (1.0 - A - B))
+        return eta * A, eta * B, c, math.log(self.p.lam) + np.log(w)
 
     def run(self):
         self._fill()
@@ -520,13 +542,14 @@ class _Group:
         xs[np.arange(width + 1) > np.where(ends, k, width)[:, None]] = -np.inf
 
         # refine every stride up to the first that ends at or above a whose
-        # bridge probability exceeds the bound (one ending at a has 1). A
+        # crossing probability exceeds the bound (one ending at a has 1). A
         # stride of one fine step is its own fine walk, always refined
         y = xs - a
         with np.errstate(invalid="ignore"):
-            log_p = _bridge_log_prob(y[:, :-1], y[:, 1:], p.sigma, H)
+            log_p = _bridge_log_prob(y[:, :-1], y[:, 1:], p.sigma, H) \
+                * self.chord
         log_p[er, ek - 1] = _bridge_log_prob(y[er, ek - 1], y[er, ek], p.sigma,
-                                             L_e)
+                                             L_e) * _chord_factor(p.beta, L_e)
         steps = np.full((rows, width), self.m)   # fine steps of each stride
         steps[er, ek - 1] = self.n_last[live[er]]
         above = y[:, 1:] >= 0.0
@@ -664,19 +687,22 @@ class _Group:
         fine nodes. Each row is summed on its own in a fixed order, so a
         path's sum does not depend on the rows beside it.
         """
-        p, q, H = self.p, self.q, self.H
+        q, H = self.q, self.H
         rows, width = y.shape[0], y.shape[1] - 1
         # full unrefined strides: one einsum per row over the full width. The
-        # gaps are clipped to [-_CLIP_GAP / eta, 0], a change below
-        # exp(-_CLIP_GAP), so that every exp stays in the normal range and
-        # the strides left out give finite zeros
-        yc = np.clip(y, -_CLIP_GAP / p.eta, 0.0)[:, None, :]
+        # log of the lognormal mean is clipped to [-_CLIP_EXP, _CLIP_EXP], so
+        # that every exp stays in the normal range and the strides left out
+        # give finite zeros: a counted stride ends below the barrier with a
+        # tiny crossing probability, so only the lower bound can bind there,
+        # and it changes the integrand by less than lam exp(-_CLIP_EXP)
         acc = np.zeros((rows, q.shape[0]))
         if self.m > 1:
             whole = (np.arange(width) < np.minimum(stop, k - ends)[:, None]) \
                 & ~refine
-            rb = yc[:, :, :-1] * self.rb_a
-            rb += yc[:, :, 1:] * self.rb_b
+            rb = y[:, None, :-1] * self.rb_a
+            rb += y[:, None, 1:] * self.rb_b
+            rb += self.rb_c
+            np.clip(rb, -_CLIP_EXP, _CLIP_EXP, out=rb)
             np.exp(rb, out=rb)
             rb *= whole[:, None, :]
             acc += np.einsum("lj,qj->lq", rb.reshape(rows, -1), self.rb_w)
@@ -686,9 +712,10 @@ class _Group:
         if er.size:
             L = self.L_last[live[er], None]
             s = L * self.gl[0]
-            eta_a, eta_b, log_w = self._rb_terms(L, s, L * self.gl[1])
-            node = np.exp(eta_a * yc[er, 0, k[er] - 1, None]
-                          + eta_b * yc[er, 0, k[er], None] + log_w)
+            eta_a, eta_b, c, log_w = self._rb_terms(L, s, L * self.gl[1])
+            node = np.exp(np.clip(eta_a * y[er, k[er] - 1, None]
+                                  + eta_b * y[er, k[er], None] + c,
+                                  -_CLIP_EXP, _CLIP_EXP) + log_w)
             t = ((k[er] - 1) * H)[:, None] + s
             terms = node[:, :, None] * np.exp(-(t[:, :, None] * q))
             part = acc[er]
@@ -711,8 +738,8 @@ class _Group:
         p, h, q = self.p, self.cfg.step, self.q
         disc = self.tab.disc[:, :F.shape[1]]
         ar = np.arange(F.shape[0])
-        # gaps clipped as in _compensate
-        phi = np.clip(F - p.a, -_CLIP_GAP / p.eta, 0.0)
+        # eta (X - a) clipped to [-_CLIP_EXP, 0], the floor of _compensate
+        phi = np.clip(F - p.a, -_CLIP_EXP / p.eta, 0.0)
         phi *= p.eta
         phi += math.log(p.lam)
         np.exp(phi, out=phi)

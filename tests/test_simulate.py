@@ -100,7 +100,7 @@ class TestExactStep:
         assert vals[2] - vals[1] == pytest.approx(vals[1] - vals[0], rel=1e-12)
 
     def test_segment_matches_stepwise_loop(self):
-        # 1300 steps span three chunks of the table recursion
+        # 1300 steps span many widths of the table recursion
         rng = np.random.default_rng(5)
         xi = rng.standard_normal(1300)
         tables = _StepTables(REF, 1e-3, np.array([]))
@@ -442,6 +442,22 @@ class TestStrides:
         assert res.work["refined"] >= res.n
         assert np.all(res.comp <= REF.lam * cfg.step)
 
+    def test_strong_drift_towards_the_barrier(self, monkeypatch):
+        # the mean level -alpha/beta = 15 lies far above a, so the first
+        # strides' lognormal means have a constant term of about exp(300),
+        # while their gaps of several units below a make the means
+        # themselves far below exp(-300); the compensator must not lift them
+        steep = ModelParams(alpha=300.0, beta=-20.0, sigma=0.01, lam=1.0,
+                            eta=500.0, a=1.0, x=-20.0)
+        cfg = SimConfig(horizon=1.0, step=1e-3, seed=5, n_paths=200)
+        coarse, fine = self._pair(steep, cfg, monkeypatch)
+        assert np.all(coarse.modes == CREEP) and np.all(fine.modes == CREEP)
+        # about 1.4 strides to the crossing; only the crossing one is refined
+        assert coarse.work["refined"] == coarse.n
+        assert np.median(coarse.comp[:, 0]) == pytest.approx(
+            np.median(fine.comp[:, 0]), rel=0.02)
+        assert coarse.comp.max() < 1.1 * fine.comp.max()
+
     def test_steep_jump_tail_keeps_the_compensator_finite(self):
         # eta sigma sqrt(h) is far above 1, so every stride is one fine step
         # and takes the trapezoid; the lognormal mean would overflow
@@ -470,6 +486,31 @@ class TestStrides:
         assert np.allclose(V, var, rtol=1e-10, atol=1e-15)
         assert np.allclose(B, c, rtol=1e-12)
 
+    def test_chord_factor_is_exact_for_a_mean_level_at_the_barrier(self):
+        # with -alpha/beta = a the barrier's image in the time-changed clock
+        # is a straight line, so an OU bridge from gap y0 to gap y1 over L
+        # reaches it with probability exp(-2 y0 y1 / (sigma^2 L))^(bL/sinh bL)
+        params = ModelParams(alpha=2.0, beta=-2.0, sigma=1.0, lam=1.0,
+                             eta=2.0, a=1.0, x=0.5)
+        L, n, x1 = 1.0, 256, 0.4
+        h = L / n
+        z = np.random.default_rng(3).standard_normal((2000, n))
+        walk = _StepTables(params, h, np.array([])).walk(
+            np.full(z.shape[0], params.x), z)
+        walk += simulate._bridge_law(params, L, h * np.arange(1, n + 1))[1] \
+            * (x1 - walk[:, -1:])
+        y = np.hstack([np.full((z.shape[0], 1), params.x), walk]) - params.a
+        # each fine step's own bridge probability, bL = 2 / 256 there
+        stay = -np.expm1(np.minimum(simulate._bridge_log_prob(
+            y[:, :-1], y[:, 1:], params.sigma, h), 0.0))
+        hit = 1.0 - np.prod(stay, axis=1)
+        se = hit.std() / math.sqrt(hit.size)
+        log_p = simulate._bridge_log_prob(params.x - params.a, x1 - params.a,
+                                          params.sigma, L)
+        assert abs(hit.mean() - math.exp(
+            log_p * simulate._chord_factor(params.beta, L))) < 4.0 * se
+        assert abs(hit.mean() - math.exp(log_p)) > 10.0 * se
+
     def test_written_out_rule_is_the_quadrature_rule(self):
         from passagelab.quad import _gl_rule
         nodes, weights = _gl_rule(4)
@@ -496,8 +537,8 @@ class TestStrides:
             "0x1.15fd9cb3bc60ap+1", "0x1.12b22d6937684p+3"]
         assert [float(c).hex() for c in res.comp[:, 0]] == [
             "0x1.a5db703fede50p-2", "0x1.a9746863b9a8ep+0",
-            "0x1.137ff5fab7fd2p+0", "0x1.4a0f0f78c750cp-6",
-            "0x1.41929b504e0a2p-1", "0x1.52d16c1e109e2p+1"]
+            "0x1.137ff5fab7fd2p+0", "0x1.4a0f0f78c750ap-6",
+            "0x1.41929b504e0a2p-1", "0x1.52d16c1e109e1p+1"]
         assert res.work == {"strides": 375, "refined": 63, "normals": 4393,
                             "uniforms": 1548}
 
