@@ -12,7 +12,11 @@ pulling the integral through turns it into a fixed-point problem
 
     w_q = w0 + eta * q * (Green kernel applied to the tail integral of w_q)
 
-whose q = 0 solution is the closed form w0. The homogeneous solutions of
+whose q = 0 solution is the closed form w0. G0 itself, the integral of
+|w0| from x to the barrier, is taken with the x-integral swapped inside the
+t-integral that represents D_nu: one weighted cylinder quadrature per point
+(see g0). g0_profile integrates w0 over x instead, an independent second
+route to the same values. The homogeneous solutions of
 the underlying operator are parabolic cylinder functions in a gauge that
 removes the first-order term: psi decays to the left and picks out the
 bounded solution, chi satisfies the reflecting (Robin) condition at the
@@ -38,6 +42,7 @@ from .weber import (
     WeberContext,
     log_pcf_d,
     log_pcf_d_batch,
+    log_pcf_d_weighted,
     make_context,
 )
 
@@ -47,6 +52,8 @@ _RESONANCE_FLOOR = math.log(1e-10)
 # at the reference model (1.7e-7 at n_cells=64, q = 0.05; at most 3.3e-6 at
 # n_cells=16, q <= 0.5), below first cuts too shallow (1.3e-5 up to 0.19).
 TRUNCATION_TOL = 1e-5
+# convergence tolerance of the cylinder integrals behind g0
+_G0_RTOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -100,13 +107,6 @@ class HomogeneousBasis:
     def wronskian(self, x):
         xs = np.asarray(x, dtype=float)
         return -np.exp(self.log_wronskian_scale + 2.0 * self.ctx.p(xs))
-
-    def psi_prime(self, x) -> float:
-        """d psi_q / dx by the exact cylinder-function derivative rule."""
-        ctx = self.ctx
-        z = ctx.z(x)
-        return _psi_prime_from(ctx, x, log_pcf_d(ctx.nu_q, z),
-                               log_pcf_d(ctx.nu_q + 1.0, z))
 
     def chi_prime(self, x) -> float:
         ctx = self.ctx
@@ -189,17 +189,41 @@ def g0_prime(params: ModelParams, x: float) -> float:
 
 
 def g0(params: ModelParams, x: float) -> float:
-    """Undiscounted probability that the crossing happens by a jump."""
+    """Undiscounted probability that the crossing happens by a jump.
+
+    G0(x) is the integral of |w0| from x to the barrier, evaluated as one
+    integral over the variable t of the D_nu representation. Write
+    |w0(y)| = K exp(p(y)) D_nu(z(y)) with D_nu as its t-integral. The
+    gauge identity p(y) - z(y)^2/4 = eta y - z0^2/4 and z(y) = z(a) +
+    |z1| (a - y) make the (y, t) integrand that of |w0(a)| times
+    exp(-u (a - y)), u = eta + |z1| t. All of it is positive, so the
+    y-integral over [x, a] can go inside (Fubini), and G0(x) is |w0(a)|
+    with the integrand of D_nu(z(a)) weighted by
+
+        w(t) = (1 - exp(-u L)) / u,    L = a - x,
+
+    which is smooth and lies in (0, min(L, 1/eta)]. The weighted integral
+    and log D_{nu+1}(z(a)) run the D_nu quadrature of weber, converged to
+    rtol _G0_RTOL = 1e-12; AccuracyError is raised if either stalls.
+    g0_profile integrates w0 over x instead, so the two are independent
+    routes to the same number.
+    """
     if x > params.a:
         raise StructuralError(f"x = {x!r} must not exceed the barrier")
     if x == params.a:
         return 0.0
-    log_w0 = _log_w0_fn(params)
+    a, eta, dist = params.a, params.eta, params.a - x
+    ctx = make_context(params, 0.0)
+    rate = -ctx.z1
 
-    def integrand(ys):
-        return np.exp(log_w0(np.asarray(ys)))
+    def log_weight(t: np.ndarray) -> np.ndarray:
+        u = eta + rate * t
+        return np.log(-np.expm1(-u * dist) / u)
 
-    return composite_gl(integrand, x, params.a, rtol=1e-12)
+    za = ctx.z(a)
+    log_d = log_pcf_d_weighted(ctx.nu_q, za, log_weight, _G0_RTOL)
+    log_d1_a = log_pcf_d(ctx.nu_q + 1.0, za, _G0_RTOL)
+    return math.exp(_log_w0_from(params, ctx, a, log_d, log_d1_a))
 
 
 def g0_profile(params: ModelParams, grid: Sequence[float]) -> np.ndarray:

@@ -8,7 +8,10 @@ for nu <= 0 from its real integral representation
     D_nu(z) = exp(-z^2/4) / Gamma(-nu) * I(nu, z),
     I(nu, z) = int_0^inf t^(-nu-1) exp(-z t - t^2/2) dt      (nu < 0)
 
-and packages the gauge bookkeeping into WeberContext. LogPcfTable replaces
+and packages the gauge bookkeeping into WeberContext. The same quadrature
+takes an optional smooth positive weight w(t) on the integrand
+(log_pcf_d_weighted), which is how the undiscounted closed form folds its
+x-integral into the t-integral. LogPcfTable replaces
 that quadrature, on one fixed interval of z, by a certified piecewise
 Chebyshev interpolant for callers that need D_nu at very many points.
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -54,9 +57,22 @@ def _phi(c: float, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c * np.log(t) - z * t - 0.5 * t * t
 
 
-def _log_integral_batch(c: float, z: np.ndarray, rtol: float) -> np.ndarray:
-    """log of int_0^inf t^c exp(-z t - t^2/2) dt, elementwise over z. c >= 0."""
+def _log_integral_batch(c: float, z: np.ndarray, rtol: float,
+                        log_weight: Callable[[np.ndarray], np.ndarray]
+                        | None = None) -> np.ndarray:
+    """log of int_0^inf t^c exp(-z t - t^2/2) w(t) dt, elementwise over z.
+
+    c >= 0. w = 1 unless log_weight, a function of t alone, gives log w; w
+    must be positive, smooth and bounded, because the peak t* and the
+    substitutions are those of the unweighted integrand.
+    """
     z = np.asarray(z, dtype=float)
+
+    def log_f(zz: np.ndarray, t: np.ndarray) -> np.ndarray:
+        if log_weight is None:
+            return _phi(c, zz, t)
+        return _phi(c, zz, t) + log_weight(t)
+
     if c > 0.0:
         tstar = 0.5 * (-z + np.sqrt(z * z + 4.0 * c))
     else:
@@ -82,13 +98,13 @@ def _log_integral_batch(c: float, z: np.ndarray, rtol: float) -> np.ndarray:
         mask = (ts[:, 0] > 0.0)
         if np.any(mask):
             t_h = ts[mask] * s * s
-            f_h = np.exp(_phi(c, zz[mask], np.maximum(t_h, 1e-300)) - pm[mask]) \
+            f_h = np.exp(log_f(zz[mask], np.maximum(t_h, 1e-300)) - pm[mask]) \
                 * 2.0 * ts[mask] * s
             head_m = f_h @ w[0]
             head[mask] = head_m
         # tail: t = tstar - log u, dt = -du/u, so the 1/u becomes exp(t - tstar)
         t_t = ts - np.log(s)
-        f_t = np.exp(_phi(c, zz, t_t) - pm + (t_t - ts))
+        f_t = np.exp(log_f(zz, t_t) - pm + (t_t - ts))
         tail = f_t @ w[0]
         return head + tail
 
@@ -135,6 +151,24 @@ def log_pcf_d_batch(nu: float, z, rtol: float = TOL_PCF) -> np.ndarray:
 
 def log_pcf_d(nu: float, z: float, rtol: float = TOL_PCF) -> float:
     return float(log_pcf_d_batch(nu, np.array([z]), rtol)[0])
+
+
+def log_pcf_d_weighted(nu: float, z: float,
+                       log_weight: Callable[[np.ndarray], np.ndarray],
+                       rtol: float = TOL_PCF) -> float:
+    """log of D_nu(z) with its integrand weighted by w(t), for nu <= -1:
+
+        exp(-z^2/4) / Gamma(-nu) * int_0^inf t^(-nu-1) exp(-z t - t^2/2) w(t) dt.
+
+    log_weight maps an array of t to log w(t); w must be positive, smooth
+    and bounded. w = 1 gives log D_nu(z).
+    """
+    if nu > -1.0:
+        raise UnsupportedRegimeError(
+            f"weighted pcf order must be <= -1, got {nu:g}")
+    c = -nu - 1.0
+    return float(-0.25 * z * z - math.lgamma(-nu) + _log_integral_batch(
+        c, np.array([float(z)]), rtol, log_weight)[0])
 
 
 def pcf_d(nu: float, z: float) -> float:

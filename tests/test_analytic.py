@@ -57,6 +57,14 @@ def sol05():
     return solve_wq(REF, 0.05, VolterraGrid(n_cells=4096))
 
 
+def _psi_prime(basis: HomogeneousBasis, x: float) -> float:
+    """d psi_q / dx by the exact cylinder-function derivative rule."""
+    ctx = basis.ctx
+    z = ctx.z(x)
+    return analytic._psi_prime_from(ctx, x, log_pcf_d(ctx.nu_q, z),
+                                    log_pcf_d(ctx.nu_q + 1.0, z))
+
+
 def _interior_mask(sol) -> np.ndarray:
     """Nodes clear of the truncation boundary layer at the left edge."""
     x_min = float(sol.grid[0])
@@ -70,7 +78,7 @@ class TestBasis:
         want = (REF.sigma * math.sqrt(ctx.b) / math.sqrt(2.0)) \
             * math.exp(ctx.p(a)) * pcf_d(ctx.nu_q + 1.0, ctx.z(a))
         got = robin_operator(REF, float(basis0.psi_q(a)),
-                             basis0.psi_prime(a))
+                             _psi_prime(basis0, a))
         assert got == pytest.approx(want, rel=1e-12)
         assert basis0.boundary_psi == pytest.approx(want, rel=1e-12)
         assert want > 0.0
@@ -91,7 +99,7 @@ class TestBasis:
     def test_wronskian_from_members(self, basis0):
         for x in (-2.0, 0.0, 0.9):
             direct = float(basis0.psi_q(x)) * basis0.chi_prime(x) \
-                - basis0.psi_prime(x) * float(basis0.chi_q(x))
+                - _psi_prime(basis0, x) * float(basis0.chi_q(x))
             assert direct == pytest.approx(basis0.wronskian(x), rel=1e-10)
             assert basis0.wronskian(x) < 0.0
 
@@ -102,7 +110,7 @@ class TestBasis:
             / (2.0 * h)
         fd_chi = (float(basis0.chi_q(x + h)) - float(basis0.chi_q(x - h))) \
             / (2.0 * h)
-        assert basis0.psi_prime(x) == pytest.approx(fd_psi, rel=1e-8)
+        assert _psi_prime(basis0, x) == pytest.approx(fd_psi, rel=1e-8)
         assert basis0.chi_prime(x) == pytest.approx(fd_chi, rel=1e-8)
 
     def test_gauge_cancels_jump_tail(self, basis0):
@@ -174,6 +182,11 @@ class TestClosedForms:
         fd = g0(REF, REF.a - h) / h
         assert slope > 0.0
         assert fd == pytest.approx(slope, rel=1e-4)
+
+    def test_stalled_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(weber, "_MAX_PANELS", 1)
+        with pytest.raises(AccuracyError, match="stalled"):
+            g0(REF, 0.0)
 
     def test_domain_errors(self):
         with pytest.raises(StructuralError):
@@ -323,6 +336,112 @@ def test_closed_forms_evaluate_each_scalar_cylinder_value_once(monkeypatch):
         run()
         assert len(calls) == want
         assert len(set(calls)) == want
+
+
+# ---------------------------------------------------------------------------
+# g0 as one weighted cylinder integral
+
+def _mp_g0(mp, params: ModelParams, x: float):
+    """G0(x) by mpmath.quad of |w0| = K exp(p) pcfd(nu, z) over [x, a].
+
+    The integrand is divided by its value at the barrier, because quad's
+    stopping rule is absolute; pieces start one decay length below the
+    barrier and double in width from there.
+    """
+    b, sig, lam, eta, alpha, a = (mp.mpf(v) for v in (
+        -params.beta, params.sigma, params.lam, params.eta, params.alpha,
+        params.a))
+    sig2 = sig * sig
+    nu = -1 - lam / b
+    z0 = mp.sqrt(2) * (alpha + eta * sig2 / 2) / (sig * mp.sqrt(b))
+    z1 = -mp.sqrt(2 * b) / sig
+    p = lambda y: (eta / 2 - alpha / sig2) * y + b / (2 * sig2) * y * y
+    z = lambda y: z0 + z1 * y
+    d_a = mp.pcfd(nu, z(a))
+    scale = mp.sqrt(2) * lam / (sig * mp.sqrt(b)) * d_a / mp.pcfd(nu + 1, z(a))
+    peak = (-z(a) + mp.sqrt(z(a) ** 2 - 4 * nu)) / 2
+    cuts, width = [a], 1 / (eta + abs(z1) * peak)
+    while cuts[-1] > x:
+        cuts.append(max(mp.mpf(x), cuts[-1] - width))
+        width *= 2
+    return scale * mp.quad(
+        lambda y: mp.exp(p(y) - p(a)) * mp.pcfd(nu, z(y)) / d_a, cuts[::-1])
+
+
+# REF with one field moved to the edge of what g0 is asked for; x = -50 is
+# among the reference points. beta = -1e-3 (nu = -1001) is left to the
+# g0_profile cross-check: mpmath.pcfd takes most of a second per value there.
+G0_EXTREMES = [("eta=20", {"eta": 20.0}), ("eta=0.05", {"eta": 0.05}),
+               ("sigma=0.05", {"sigma": 0.05}), ("lam=1e-6", {"lam": 1e-6}),
+               ("lam=50", {"lam": 50.0}),
+               # nu + 1 = -1.1: log D_{nu+1}(z(a)) at the default rtol
+               # 1e-10 put g0 2.3e-11 off
+               ("lam=0.55", {"lam": 0.55})]
+G0_ORACLE_CASES = [pytest.param(REF, x, id=f"ref-x={x:g}") for x in
+                   (-50.0, -5.0, 0.0, 0.9, REF.a - 1e-3, REF.a - 1e-6)] + [
+    pytest.param(dataclasses.replace(REF, **kw), 0.0, id=name)
+    for name, kw in G0_EXTREMES] + [
+    # log D_{nu+1}(z(a)) at nu + 1 = -0.02, z(a) = -33.2 comes from the
+    # upward recurrence, whose two terms cancel to 1 part in 5e4 there;
+    # g0 inherits its 9.9e-10 error through the normalising constant
+    pytest.param(dataclasses.replace(REF, beta=-50.0), 0.0, id="beta=-50",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "log D_nu for -1 < nu < 0 at large negative z loses "
+                     "digits in the recurrence")))]
+
+
+@pytest.mark.parametrize("params,x", G0_ORACLE_CASES)
+def test_g0_and_creeping_match_mpmath(params, x):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = _mp_g0(mp, params, x)
+        g_want, c_want = float(want), float(1 - want)
+    assert abs(g0(params, x) - g_want) <= 1e-12 * g_want
+    assert abs(creeping_prob(params, x) - c_want) <= 1e-12 * c_want
+
+
+# ClosedForm.draw's box in bench/workloads.py
+DRAW_MODELS = st.builds(
+    ModelParams, alpha=st.floats(0.0, 0.2), beta=st.floats(-1.0, -0.25),
+    sigma=st.floats(0.2, 0.5), lam=st.floats(0.5, 1.5),
+    eta=st.floats(1.5, 3.0), a=st.just(1.0), x=st.floats(-1.0, 0.9))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(params=DRAW_MODELS)
+@example(params=dataclasses.replace(REF, beta=-1e-3))
+def test_g0_matches_profile_route(params):
+    # the x-side quadrature of w0 on 4096 cells is good to a few 1e-12
+    # here; the t-integral shares only the normalising D_{nu+1}(z(a))
+    grid = np.linspace(params.x, params.a, 4097)
+    want = g0_profile(params, grid)[0]
+    assert g0(params, params.x) == pytest.approx(want, rel=1e-10)
+    # G0(a - dx) / dx tends to the boundary slope at first order in dx
+    slope = boundary_slope(params)
+    errs = [abs(g0(params, params.a - dx) / dx - slope) / slope
+            for dx in (1e-3, 1e-4, 1e-5)]
+    assert errs[2] <= 1e-3
+    assert errs[1] <= 0.2 * errs[0] and errs[2] <= 0.2 * errs[1]
+
+
+def test_g0_is_two_cylinder_integrals_and_no_x_quadrature(monkeypatch):
+    # the x-integral sits inside the t-integral of D_nu(z(a)); the other
+    # integral is log D_{nu+1}(z(a)), which normalises w0
+    weights = []
+    integral = weber._log_integral_batch
+
+    def counted(c, z, rtol, log_weight=None):
+        weights.append(log_weight)
+        return integral(c, z, rtol, log_weight)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("g0 ran an x-side quadrature")
+
+    monkeypatch.setattr(weber, "_log_integral_batch", counted)
+    monkeypatch.setattr(analytic, "composite_gl", forbidden)
+    assert g0(REF, 0.0) == pytest.approx(G0_AT_ZERO, abs=1e-12)
+    assert len(weights) == 2
+    assert sum(w is not None for w in weights) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from passagelab.weber import (
     LogPcfTable,
     log_pcf_d,
     log_pcf_d_batch,
+    log_pcf_d_weighted,
     make_context,
     pcf_d,
 )
@@ -85,6 +86,14 @@ def test_positive_order_rejected():
         pcf_d(0.5, 1.0)
     with pytest.raises(UnsupportedRegimeError):
         log_pcf_d_batch(1e-9, np.array([0.0]))
+    with pytest.raises(UnsupportedRegimeError):
+        log_pcf_d_weighted(-0.5, 0.0, np.zeros_like)
+
+
+@pytest.mark.parametrize("nu,z", [(-1.0, 0.0), (-3.0, 1.27), (-2.1, -2.07),
+                                  (-1.02, -33.2)])
+def test_unit_weight_is_the_plain_integral(nu, z):
+    assert log_pcf_d_weighted(nu, z, np.zeros_like) == log_pcf_d(nu, z)
 
 
 def test_batch_matches_scalar():
