@@ -21,7 +21,10 @@ the underlying operator are parabolic cylinder functions in a gauge that
 removes the first-order term: psi decays to the left and picks out the
 bounded solution, chi satisfies the reflecting (Robin) condition at the
 barrier. All basis values are handled in log space because chi grows like
-exp(2 p(x) - eta x) far below the barrier.
+exp(2 p(x) - eta x) far below the barrier. The solver's kernel sums run in
+linear space on weights scaled once per grid: the weights' logs span up
+to thousands of nats, so they are cut into bands of 600 nats, each scaled
+by its own power of exp(600) (see _BandedScan).
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ class HomogeneousBasis:
     is psi chi' - psi' chi, computed once at the barrier and propagated by
     Abel's identity (it is a constant times exp(2 p(x))). boundary_psi is
     the Robin operator applied to psi_q at the barrier, and ratio is the
-    coefficient of psi inside chi.
+    coefficient of psi inside chi; log_d1_a is log D_{nu+1}(z(a)), which
+    the Robin operator at the barrier needs.
     """
 
     params: ModelParams
@@ -75,6 +79,7 @@ class HomogeneousBasis:
     log_ratio: float
     log_wronskian_scale: float  # log(-W(x) e^{-2p(x)}), W itself is negative
     boundary_psi: float
+    log_d1_a: float  # log D_{nu+1}(z(a))
 
     def log_psi(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -156,7 +161,8 @@ def homogeneous_basis(params: ModelParams, q: float) -> HomogeneousBasis:
         params, float(np.exp(ctx.p(params.a) + l_d0_pos)),
         _psi_prime_from(ctx, params.a, l_d0_pos, l_d1_pos))
     return HomogeneousBasis(params, float(q), ctx, math.exp(log_ratio),
-                            float(log_ratio), float(log_scale), boundary_psi)
+                            float(log_ratio), float(log_scale), boundary_psi,
+                            l_d1_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +329,79 @@ class VolterraSolution:
         return cached
 
 
+# Width in nats of the bands _BandedScan cuts its terms into; exp underflows
+# below -745, so every weight within one band of its band's top stays normal.
+_BAND_NATS = 600.0
+
+
+class _BandedScan:
+    """Running sums of positive terms whose logs span more than a double.
+
+    Built once from the log of the largest weight each term can carry,
+    log_max, in scan order. The running maximum of log_max is cut into
+    bands _BAND_NATS wide, and the terms of each band are handed in scaled
+    by exp(-shift), shift = (band + 1) * _BAND_NATS, so the band's
+    running-maximum weight scales into [exp(-_BAND_NATS), 1). Each band
+    takes one linear cumsum, started from the total of the bands before it
+    in its own scale. A partial sum always holds its band's running-maximum
+    term, so it cannot underflow, and no weight a band scales to zero is
+    above exp(-145) of that term.
+    """
+
+    def __init__(self, log_max: np.ndarray):
+        top = np.maximum.accumulate(log_max)
+        finite = np.isfinite(top)
+        # terms before the first finite weight are zero; they join the
+        # first band
+        top = np.where(finite, top, top[finite][0] if finite.any() else 0.0)
+        self.shift = (np.floor(top / _BAND_NATS) + 1.0) * _BAND_NATS
+        edges = [0, *(np.flatnonzero(np.diff(self.shift)) + 1).tolist(),
+                 top.shape[0]]
+        shifts = self.shift[edges[:-1]]
+        # the factor that takes the bands before into a band's own scale
+        factors = np.exp(-np.diff(shifts, prepend=shifts[0]))
+        self._bands = list(zip(edges[:-1], edges[1:], shifts.tolist(),
+                               factors.tolist()))
+
+    def accumulate(self, terms: np.ndarray) -> np.ndarray:
+        """log of the running sums of the terms, given scaled by exp(-shift)."""
+        out = np.empty(terms.shape[0])
+        carry = 0.0
+        with np.errstate(divide="ignore"):
+            for lo, hi, shift, factor in self._bands:
+                part = np.cumsum(terms[lo:hi])
+                if carry:
+                    part += carry * factor
+                out[lo:hi] = np.log(part) + shift
+                carry = part[-1]
+        return out
+
+
 def _auto_x_min(params: ModelParams, q: float) -> float:
-    """solve_wq's first left end: where psi_q is 1e-12 of its peak."""
+    """solve_wq's first left end: where psi_q is 1e-12 of its peak.
+
+    Steps left from the barrier by a fixed step, x -= step, and stops at
+    the first x where log psi_q is 1e-12 below its running maximum. The
+    steps are evaluated in batches of 16, 16, 32, 64, ..., so a stop at
+    the k-th step evaluates at most max(16, 2k) points.
+    """
     ctx = make_context(params, q)
     step = 0.25 * max(1.0, params.sigma / math.sqrt(ctx.b), 1.0 / params.eta)
     x = params.a
     best = -math.inf
-    for _ in range(100_000):
-        lp = ctx.p(x) + float(log_pcf_d(ctx.nu_q, float(ctx.z(x))))
-        best = max(best, lp)
-        if lp - best <= _LOG_EPS:
-            return x
-        x -= step
+    done, cap = 0, 100_000
+    while done < cap:
+        xs = np.empty(min(max(16, done), cap - done))
+        for k in range(xs.shape[0]):
+            xs[k] = x
+            x -= step
+        lp = ctx.p(xs) + log_pcf_d_batch(ctx.nu_q, ctx.z(xs))
+        top = np.maximum(np.maximum.accumulate(lp), best)
+        hit = np.flatnonzero(lp - top <= _LOG_EPS)
+        if hit.size:
+            return float(xs[hit[0]])
+        best = float(top[-1])
+        done += xs.shape[0]
     raise StructuralError("could not locate a decayed left endpoint")
 
 
@@ -343,9 +410,12 @@ def solve_wq(params: ModelParams, q: float,
     """Fixed-point solution of the integral equation for w_q = G_q'.
 
     Picard iteration on a fixed Gauss grid: the kernel application is a
-    pair of prefix/suffix sums in log space (the kernel is separable on
-    each side of the diagonal), and the tail integral of the iterate is
-    taken from a cubic-spline antiderivative. q = 0 returns the seed
+    prefix and a suffix sum (the kernel is separable on each side of the
+    diagonal), and the tail integral of the iterate is taken from a
+    cubic-spline antiderivative. The sums run in linear space: the kernel
+    weights are scaled once per grid, in bands of 600 nats along their
+    running maximum, and each band is one cumsum that holds its own
+    largest weight, so no partial sum underflows. q = 0 returns the seed
     itself; a loop still above grid.tol after grid.max_iter iterations
     raises ConvergenceError. The domain starts where psi_q has decayed to
     1e-12 of its peak, or at x - (a - x)/20 if lower, so it holds x.
@@ -364,9 +434,10 @@ def solve_wq(params: ModelParams, q: float,
         raise StructuralError(f"q must be nonnegative, got {q!r}")
     spec = grid or VolterraGrid()
     x_min = min(_auto_x_min(params, q), params.x - (params.a - params.x) / 20)
+    basis = homogeneous_basis(params, q) if q > 0.0 else None
     for _ in range(4):  # the first domain and up to three deeper ones
         deep = x_min - (params.a - x_min)
-        tables = _WeberTables(params, q, deep)
+        tables = _WeberTables(params, q, deep, basis)
         sol = _solve_on(tables, x_min, spec.n_cells, spec.tol, spec.max_iter)
         ref = _solve_on(tables, deep, 2 * spec.n_cells, spec.tol,
                         spec.max_iter)
@@ -387,23 +458,25 @@ class _WeberTables:
     """The Weber functions one solve_wq call reads, for x in [x_lo, a].
 
     Holds log D_{nu+1}(z(a)), the LogPcfTable of D_nu(+z) and, for q > 0,
-    that of D_nu(-z) together with the homogeneous basis; psi, chi and w0
-    are formed from the table values by the same formulas the closed forms
-    use.
+    that of D_nu(-z) together with the homogeneous basis, which must be
+    given then (log D_{nu+1}(z(a)) is read off it); psi, chi and w0 are
+    formed from the table values by the same formulas the closed forms use.
     """
 
-    def __init__(self, params: ModelParams, q: float, x_lo: float):
-        self.params, self.q = params, q
+    def __init__(self, params: ModelParams, q: float, x_lo: float,
+                 basis: HomogeneousBasis | None):
+        self.params, self.q, self.basis = params, q, basis
         self.ctx = make_context(params, q)
         z_lo, z_hi = self.ctx.z(params.a), self.ctx.z(x_lo)
-        self.log_d1_a = log_pcf_d(self.ctx.nu_q + 1.0, z_lo)
         self.pos = LogPcfTable(self.ctx.nu_q, z_lo, z_hi)
         fits = [self.pos]
-        self.neg = self.basis = None
+        self.neg = None
         if q > 0.0:
+            self.log_d1_a = basis.log_d1_a
             self.neg = LogPcfTable(self.ctx.nu_q, -z_hi, -z_lo)
-            self.basis = homogeneous_basis(params, q)
             fits.append(self.neg)
+        else:
+            self.log_d1_a = log_pcf_d(self.ctx.nu_q + 1.0, z_lo)
         self.rel_error = max(t.max_rel_error for t in fits)
         self.fit_nodes = sum(t.fit_nodes for t in fits)
 
@@ -413,11 +486,84 @@ class _WeberTables:
         return self.pos(zs), None if self.neg is None else self.neg(-zs)
 
 
+def _horner(coef: np.ndarray, dx):
+    """Piecewise polynomials at offsets dx from their cells' left ends.
+
+    coef is a PPoly coefficient array, highest power first, with one column
+    per cell; dx has one column of offsets per cell, or is a scalar when
+    coef is a single column.
+    """
+    val = coef[0] * dx
+    for row in coef[1:-1]:
+        val += row
+        val *= dx
+    val += coef[-1]
+    return val
+
+
+def _gauss_nodes(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 3-point Gauss nodes of the cells of xs, and their log weights.
+
+    Node-major: entry j * n_cells + k is the j-th node of cell k.
+    """
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    half = 0.5 * np.diff(xs)
+    nodes = (mid[None, :] + half[None, :] * _GL3_POINTS[:, None]).ravel()
+    return nodes, np.log(half[None, :] * _GL3_WEIGHTS[:, None]).ravel()
+
+
+class _GreenKernel:
+    """The Green kernel applied to the tail integral of w, at the grid nodes.
+
+    For w on xs, with T(y) = -int_y^a w (clipped at 0), it returns
+
+        chi(x_i) sum_{y < x_i} P(y) T(y) + psi(x_i) sum_{y > x_i} Q(y) T(y)
+
+    over the Gauss nodes y of _gauss_nodes(xs); P and Q are the kernel's
+    psi and chi sides times the Gauss weights, given as logs. The sums are
+    a prefix and a suffix over cells, each run by a _BandedScan; logP and
+    logQ are overwritten with its scaled weights. T comes from the
+    cubic-spline antiderivative of w, evaluated by Horner's rule at each
+    node's offset in its cell.
+    """
+
+    def __init__(self, xs: np.ndarray, nodes: np.ndarray,
+                 lpsi_nodes: np.ndarray, lchi_nodes: np.ndarray,
+                 logP: np.ndarray, logQ: np.ndarray):
+        n_cells = xs.shape[0] - 1
+        self.xs, self.lpsi, self.lchi = xs, lpsi_nodes, lchi_nodes
+        self.dx = nodes.reshape(3, n_cells) - xs[:-1]
+        self.end_dx = xs[-1] - xs[-2]
+        # psi's prefix runs left to right, chi's suffix right to left
+        self.P = logP.reshape(3, n_cells)
+        self.Q = logQ.reshape(3, n_cells)
+        self.scan_p = _BandedScan(np.max(self.P, axis=0))
+        self.scan_q = _BandedScan(np.max(self.Q, axis=0)[::-1])
+        self.P -= self.scan_p.shift
+        self.Q -= self.scan_q.shift[::-1]
+        np.exp(self.P, out=self.P)
+        np.exp(self.Q, out=self.Q)
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        coef = CubicSpline(self.xs, w).antiderivative().c
+        tail = np.maximum(_horner(coef, self.dx)
+                          - _horner(coef[:, -1], self.end_dx), 0.0)
+        terms = self.P * tail
+        cell_p = terms[0] + terms[1]
+        cell_p += terms[2]
+        np.multiply(self.Q, tail, out=terms)
+        cell_q = terms[0] + terms[1]
+        cell_q += terms[2]
+        prefix = np.concatenate(([-math.inf], self.scan_p.accumulate(cell_p)))
+        suffix = np.concatenate(
+            (self.scan_q.accumulate(cell_q[::-1])[::-1], [-math.inf]))
+        return np.exp(self.lchi + prefix) + np.exp(self.lpsi + suffix)
+
+
 def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
               tol: float, max_iter: int) -> VolterraSolution:
     params, q = tables.params, tables.q
-    a = params.a
-    xs = np.linspace(x_min, a, n_cells + 1)
+    xs = np.linspace(x_min, params.a, n_cells + 1)
     ld_nodes, ld_neg_nodes = tables.log_d(xs)
     w0 = -np.exp(_log_w0_from(params, tables.ctx, xs, ld_nodes,
                               tables.log_d1_a))
@@ -427,39 +573,23 @@ def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
 
     basis, ctx = tables.basis, tables.ctx
     eta_q = params.eta * q
-    sig2 = params.sigma ** 2
-
-    mid = 0.5 * (xs[:-1] + xs[1:])
-    half = 0.5 * np.diff(xs)
-    gl_nodes = (mid[:, None] + half[:, None] * _GL3_POINTS[None, :]).ravel()
-    gl_logw = np.log(half[:, None] * _GL3_WEIGHTS[None, :]).ravel()
-
-    lpsi_nodes = basis.log_psi_from(xs, ld_nodes)
-    lchi_nodes = basis.log_chi_from(xs, ld_nodes, ld_neg_nodes)
+    gl_nodes, gl_logw = _gauss_nodes(xs)
     ld_gl, ld_neg_gl = tables.log_d(gl_nodes)
-    two_p = 2.0 * ctx.p(gl_nodes)
-    lker = math.log(2.0 / sig2) - basis.log_wronskian_scale
-    logP = basis.log_psi_from(gl_nodes, ld_gl) - two_p + lker + gl_logw
-    logQ = basis.log_chi_from(gl_nodes, ld_gl, ld_neg_gl) - two_p + lker \
-        + gl_logw
+    # log of the Green kernel's y-factor: 2/(sigma^2 |W(y)|) times psi(y)
+    # or chi(y), and the Gauss weight
+    gl_logw += math.log(2.0 / params.sigma ** 2) \
+        - basis.log_wronskian_scale - 2.0 * ctx.p(gl_nodes)
+    kernel = _GreenKernel(
+        xs, gl_nodes, basis.log_psi_from(xs, ld_nodes),
+        basis.log_chi_from(xs, ld_nodes, ld_neg_nodes),
+        basis.log_psi_from(gl_nodes, ld_gl) + gl_logw,
+        basis.log_chi_from(gl_nodes, ld_gl, ld_neg_gl) + gl_logw)
+    del gl_nodes, gl_logw, ld_gl, ld_neg_gl
 
     w = w0.copy()
     history = []
     for _ in range(max_iter):
-        anti = CubicSpline(xs, w).antiderivative()
-        tail = np.minimum(anti(a) - anti(gl_nodes), 0.0)  # integral of w, <= 0
-        with np.errstate(divide="ignore"):
-            log_tail = np.log(-tail)
-        cell_p = np.logaddexp.reduce(
-            (logP + log_tail).reshape(n_cells, 3), axis=1)
-        cell_q = np.logaddexp.reduce(
-            (logQ + log_tail).reshape(n_cells, 3), axis=1)
-        prefix = np.concatenate(([-math.inf], np.logaddexp.accumulate(cell_p)))
-        suffix = np.concatenate(
-            (np.logaddexp.accumulate(cell_q[::-1])[::-1], [-math.inf]))
-        applied = np.exp(np.logaddexp(lchi_nodes + prefix,
-                                      lpsi_nodes + suffix))
-        w_new = w0 + eta_q * applied
+        w_new = w0 + eta_q * kernel(w)
         history.append(float(np.max(np.abs(w_new - w))))
         w = w_new
         if history[-1] <= tol:

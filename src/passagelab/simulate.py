@@ -982,6 +982,31 @@ class CpResult:
 CP_MODE_CODES = MODE_CODES
 
 
+def _cp_compensator(grid: np.ndarray, n_paths: int, starts: np.ndarray,
+                    ends: np.ndarray, rates: np.ndarray,
+                    owners: np.ndarray) -> np.ndarray:
+    """Each path's sum of rate * |[s0, min(t, s1)]| over its pieces, at grid t.
+
+    The pieces are given path after path (owners nondecreasing). Piece k of
+    every path is added at step k, so each path sums its pieces in their
+    own order, starting from 0.
+    """
+    comp = np.zeros((n_paths, grid.shape[0]))
+    if not owners.shape[0]:
+        return comp
+    contrib = rates[:, None] * np.clip(
+        np.minimum(grid, ends[:, None]) - starts[:, None], 0.0, None)
+    # each piece's place in its own path
+    rank = np.arange(owners.shape[0]) - np.searchsorted(owners, owners)
+    order = np.argsort(rank, kind="stable")
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        step = order[lo:hi]
+        comp[owners[step]] += contrib[step]
+        lo = hi
+    return comp
+
+
 def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
                          horizon: float,
                          grid: Sequence[float] = ()) -> CpResult:
@@ -998,9 +1023,13 @@ def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
     n_grid = grid.shape[0]
     modes = np.empty(n_paths, dtype=np.int8)
     taus = np.empty(n_paths)
-    comp = np.zeros((n_paths, n_grid))
     lam = spec.intensity
     a = spec.barrier_level
+    # the flat pieces with a positive intensity, path after path
+    starts: list[float] = []
+    ends: list[float] = []
+    rates: list[float] = []
+    owners: list[int] = []
     stream = _Stream()
     for i in range(n_paths):
         rng = stream.rekey(int(seed), _NS_CP, i)
@@ -1019,13 +1048,14 @@ def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
         if n_grid:
             # pieces end at the next jump; a censored path's last one at the
             # horizon, while a crossed path stops at tau
-            ends = times if did_cross else times + [horizon]
-            acc = np.zeros(n_grid)
-            for s0, s1, lvl in zip([0.0] + times, ends, flat_levels):
+            piece_ends = times if did_cross else times + [horizon]
+            for s0, s1, lvl in zip([0.0] + times, piece_ends, flat_levels):
                 rate = lam * spec.jump_law.tail(a - lvl)
-                if rate == 0.0:
-                    continue
-                overlap = np.clip(np.minimum(grid, s1) - s0, 0.0, None)
-                acc += rate * overlap
-            comp[i] = acc
+                if rate != 0.0:
+                    starts.append(s0)
+                    ends.append(s1)
+                    rates.append(rate)
+                    owners.append(i)
+    comp = _cp_compensator(grid, n_paths, np.array(starts), np.array(ends),
+                           np.array(rates), np.array(owners, dtype=np.intp))
     return CpResult(spec, horizon, grid, modes, taus, comp)

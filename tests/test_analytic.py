@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from passagelab import analytic, weber
 from passagelab.analytic import (
@@ -484,6 +485,38 @@ WIDE_MODELS = st.builds(dataclasses.replace, MODELS,
                         sigma=st.floats(0.05, 1.0))
 
 
+def _scalar_x_min(params, q) -> float:
+    """_auto_x_min's scan with one scalar cylinder value per step."""
+    ctx = make_context(params, q)
+    step = 0.25 * max(1.0, params.sigma / math.sqrt(ctx.b), 1.0 / params.eta)
+    x, best = params.a, -math.inf
+    for _ in range(100_000):
+        lp = ctx.p(x) + log_pcf_d(ctx.nu_q, float(ctx.z(x)))
+        best = max(best, lp)
+        if lp - best <= analytic._LOG_EPS:
+            return x
+        x -= step
+    raise AssertionError("the scalar scan found no left end")
+
+
+def _assert_scalar_scan(params, q):
+    """_auto_x_min returns bitwise the scalar scan's x, or both raise."""
+    try:
+        want = _scalar_x_min(params, q)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            analytic._auto_x_min(params, q)
+        return
+    assert analytic._auto_x_min(params, q) == want
+
+
+@pytest.mark.parametrize("q,x_min", [(0.0, -6.25), (0.01, -6.25),
+                                     (0.05, -6.25), (0.1, -6.0)])
+def test_auto_x_min_batches_the_scalar_scan(q, x_min):
+    _assert_scalar_scan(REF, q)
+    assert analytic._auto_x_min(REF, q) == x_min
+
+
 def _g0_gap(sol) -> float:
     """Criterion 4's statistic: the solve against the closed-form profile."""
     return float(np.max(np.abs(gq_from_solution(sol, sol.grid)
@@ -493,6 +526,8 @@ def _g0_gap(sol) -> float:
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(params=WIDE_MODELS, q=st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
 def test_solve_is_accurate_or_raises(params, q):
+    # the batched domain scan stops where the scalar one does
+    _assert_scalar_scan(params, q)
     # q = 0 is judged by criterion 4's rule on criterion 4's grid; it costs
     # no Picard iterations
     grid = VolterraGrid() if q == 0.0 else VolterraGrid(n_cells=1024)
@@ -557,3 +592,84 @@ def test_table_solve_matches_direct_quadrature_far_out(monkeypatch, params,
     if x_min is not None:
         monkeypatch.setattr(analytic, "_auto_x_min", lambda p, q: x_min)
     _assert_same_solve(monkeypatch, params, 0.05, VolterraGrid(n_cells=512))
+
+
+# ---------------------------------------------------------------------------
+# the Picard loop's kernel application in scaled linear space
+
+def _scan_cases():
+    """name -> (log terms, fewest bands the scan must cut them into)."""
+    rng = np.random.default_rng(12)
+    rise = np.linspace(-2600.0, 2600.0, 400) + rng.normal(0.0, 30.0, 400)
+    fall = rise[::-1].copy()  # its running maximum is reached at once
+    both = np.concatenate([rise, fall])
+    holes = both.copy()
+    holes[[0, 1, 2, 57, 399, 400, 533, 799]] = -math.inf
+    return {"rising": (rise, 8), "falling": (fall, 1),
+            "rise-fall": (both, 8), "with-inf": (holes, 8),
+            "all-inf": (np.full(9, -math.inf), 1)}
+
+
+@pytest.mark.parametrize("name", list(_scan_cases()))
+def test_banded_scan_matches_logaddexp_accumulate(name):
+    x, min_bands = _scan_cases()[name]
+    scan = analytic._BandedScan(x)
+    got = scan.accumulate(np.exp(x - scan.shift))
+    want = np.logaddexp.accumulate(x)
+    assert len(scan._bands) >= min_bands
+    if np.all(np.isinf(x)):
+        assert np.all(got == -math.inf)
+        return
+    assert np.ptp(x[np.isfinite(x)]) >= 5000.0
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    np.testing.assert_allclose(got[fin], want[fin], rtol=1e-13)
+
+
+def _dense_green_product(xs, nodes, lpsi, lchi, logP, logQ, w):
+    """The kernel's Green-matrix product, one log term per (x_i, node)."""
+    n_cells = xs.shape[0] - 1
+    anti = CubicSpline(xs, w).antiderivative()
+    tail = np.minimum(anti(xs[-1]) - anti(nodes), 0.0)
+    with np.errstate(divide="ignore"):
+        log_tail = np.log(-tail)
+    # node-major layout: node m lies in cell m % n_cells
+    left = np.tile(np.arange(n_cells), 3)[None, :] \
+        < np.arange(n_cells + 1)[:, None]
+    terms = np.where(left, lchi[:, None] + logP[None, :],
+                     lpsi[:, None] + logQ[None, :]) + log_tail[None, :]
+    return np.exp(np.logaddexp.reduce(terms, axis=1))
+
+
+SIG_SMALL = ModelParams(alpha=0.0, beta=-2.0, sigma=0.0625, lam=1.0,
+                        eta=1.0, a=1.0, x=0.0)
+
+
+@pytest.mark.parametrize("params,q,min_bands", [
+    # the weights' logs span 1,055 and 5,246 nats on these domains
+    (REF, 0.05, 2), (SIG_SMALL, 0.05, 8),
+], ids=["reference", "sigma=0.0625"])
+def test_kernel_matches_dense_green_product(params, q, min_bands):
+    # the deep domain of the truncation check that accepted the solve
+    x_min = solve_wq(params, q, VolterraGrid(n_cells=256)).grid[0]
+    xs = np.linspace(x_min - (params.a - x_min), params.a, 257)
+    basis = homogeneous_basis(params, q)
+    nodes, log_gw = analytic._gauss_nodes(xs)
+    log_gw += math.log(2.0 / params.sigma ** 2) - basis.log_wronskian_scale \
+        - 2.0 * basis.ctx.p(nodes)
+    logP = basis.log_psi(nodes) + log_gw
+    logQ = basis.log_chi(nodes) + log_gw
+    lpsi, lchi = basis.log_psi(xs), basis.log_chi(xs)
+    w = -np.exp(analytic._log_w0_fn(params)(xs))
+    want = _dense_green_product(xs, nodes, lpsi, lchi, logP, logQ, w)
+    kernel = analytic._GreenKernel(xs, nodes, lpsi, lchi, logP.copy(),
+                                   logQ.copy())
+    assert max(len(kernel.scan_p._bands),
+               len(kernel.scan_q._bands)) >= min_bands
+    np.testing.assert_allclose(kernel(w), want, rtol=1e-12, atol=0.0)
+
+
+def test_reference_sweep_iteration_counts():
+    # criterion 5's sweep on the default grid, as the benchmark records it
+    assert [solve_wq(REF, q).iterations for q in (0.01, 0.05, 0.1)] \
+        == [6, 9, 12]

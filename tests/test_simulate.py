@@ -679,6 +679,29 @@ class TestCompoundPoisson:
         assert law.tail(2.0) == 0.5
         assert law.tail(2.1) == 0.0
 
+    @pytest.mark.parametrize("law", [
+        ExponentialJumps(2.0), LatticeJumps((0.4, 0.9), (0.5, 0.5))])
+    def test_compensator_sums_each_path_in_its_own_order(self, law):
+        # the batch's one array pass against the piece-by-piece sum of every
+        # path, bitwise; the lattice path starts on a piece of rate 0
+        spec = CompoundPoissonSpec(1.5, law, 1.0, 0.0)
+        grid = np.array([0.25, 1.0, 3.0, 6.0])
+        res = run_compound_poisson(spec, 200, seed=31, horizon=6.0,
+                                   grid=grid)
+        stream = _Stream()
+        for i in range(200):
+            rng = stream.rekey(31, simulate._NS_CP, i)
+            times, levels, crossed = simulate._cp_events(spec, rng, 6.0)
+            ends = times if crossed else times + [6.0]
+            want = np.zeros(grid.shape[0])
+            for s0, s1, lvl in zip([0.0] + times, ends, [0.0] + levels):
+                rate = 1.5 * law.tail(1.0 - lvl)
+                if rate:
+                    want += rate * np.clip(np.minimum(grid, s1) - s0, 0.0,
+                                           None)
+            assert [c.hex() for c in res.comp_at[i].tolist()] \
+                == [c.hex() for c in want.tolist()]
+
     def test_cp_path_exact_jump_bookkeeping(self):
         path = cp_to_path(
             CompoundPoissonSpec(intensity=1.0, jump_law=LatticeJumps((0.4,), (1.0,)),
