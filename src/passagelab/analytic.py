@@ -8,23 +8,22 @@ interest is the discounted probability of crossing by a jump,
 
 together with its q = 0 value and derivative. The derivative w_q = G_q'
 solves a second-order equation driven by an exponential integral term;
-pulling the integral through turns it into a fixed-point problem
+pulling the integral through turns it into a linear system
 
-    w_q = w0 + eta * q * (Green kernel applied to the tail integral of w_q)
+    (I - eta * q * K) w_q = w0,   K: the Green kernel applied to the
+                                     tail integral of w,
 
-whose q = 0 solution is the closed form w0. G0 itself, the integral of
-|w0| from x to the barrier, is taken with the x-integral swapped inside the
-t-integral that represents D_nu: one weighted cylinder quadrature per point
-(see g0). g0_profile integrates w0 over x instead, an independent second
-route to the same values. The homogeneous solutions of
-the underlying operator are parabolic cylinder functions in a gauge that
-removes the first-order term: psi decays to the left and picks out the
-bounded solution, chi satisfies the reflecting (Robin) condition at the
-barrier. All basis values are handled in log space because chi grows like
-exp(2 p(x) - eta x) far below the barrier. The solver's kernel sums run in
-linear space on weights scaled once per grid: the weights' logs span up
-to thousands of nats, so they are cut into bands of 600 nats, each scaled
-by its own power of exp(600) (see _BandedScan).
+whose q = 0 solution is the closed form w0; solve_wq solves it by GMRES.
+G0 itself, the integral of |w0| from x to the barrier, is taken with the
+x-integral swapped inside the t-integral that represents D_nu: one
+weighted cylinder quadrature per point (see g0). g0_profile integrates w0
+over x instead, an independent second route to the same values. The
+homogeneous solutions of the underlying operator are parabolic cylinder
+functions in a gauge that removes the first-order term: psi decays to the
+left and picks out the bounded solution, chi satisfies the reflecting
+(Robin) condition at the barrier. All basis values are handled in log
+space because chi grows like exp(2 p(x) - eta x) far below the barrier;
+the solver's kernel sums scale them once per grid (see _BandedScan).
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (AccuracyError, ConvergenceError, ResonanceError,
                      StructuralError)
@@ -266,7 +266,7 @@ def boundary_slope(params: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the Volterra fixed point for q > 0
+# the Volterra system for q > 0
 
 _GL3_POINTS = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
@@ -289,10 +289,10 @@ class VolterraGrid:
 
 @dataclass(eq=False)
 class VolterraSolution:
-    """Converged derivative w_q on its grid, plus the seed it started from.
+    """Converged derivative w_q on its grid, plus the right-hand side w0.
 
-    delta_history holds the sup-norm change of every Picard iteration;
-    successive ratios are the contraction rate. table_rel_error and
+    delta_history holds the residual 2-norm after every Krylov iteration,
+    on the scale grid.tol is compared against. table_rel_error and
     table_fit_nodes describe the solve's LogPcfTable fits: the worst
     certified relative error in D_nu and the quadrature nodes spent on them.
     """
@@ -318,7 +318,7 @@ class VolterraSolution:
 
     @property
     def sup_delta(self) -> float:
-        """The last iteration's sup-norm change."""
+        """The last iteration's residual 2-norm."""
         return self.delta_history[-1]
 
     def _antiderivative(self):
@@ -335,7 +335,7 @@ _BAND_NATS = 600.0
 
 
 class _BandedScan:
-    """Running sums of positive terms whose logs span more than a double.
+    """Running sums of terms whose weights' logs span more than a double.
 
     Built once from the log of the largest weight each term can carry,
     log_max, in scan order. The running maximum of log_max is cut into
@@ -343,9 +343,9 @@ class _BandedScan:
     by exp(-shift), shift = (band + 1) * _BAND_NATS, so the band's
     running-maximum weight scales into [exp(-_BAND_NATS), 1). Each band
     takes one linear cumsum, started from the total of the bands before it
-    in its own scale. A partial sum always holds its band's running-maximum
-    term, so it cannot underflow, and no weight a band scales to zero is
-    above exp(-145) of that term.
+    in its own scale, and the sums come back in that scale. The terms may
+    have either sign; no weight a band scales to zero is above exp(-145)
+    of its band's running-maximum weight.
     """
 
     def __init__(self, log_max: np.ndarray):
@@ -360,20 +360,16 @@ class _BandedScan:
         shifts = self.shift[edges[:-1]]
         # the factor that takes the bands before into a band's own scale
         factors = np.exp(-np.diff(shifts, prepend=shifts[0]))
-        self._bands = list(zip(edges[:-1], edges[1:], shifts.tolist(),
-                               factors.tolist()))
+        self._bands = list(zip(edges[:-1], edges[1:], factors.tolist()))
 
     def accumulate(self, terms: np.ndarray) -> np.ndarray:
-        """log of the running sums of the terms, given scaled by exp(-shift)."""
+        """Running sums of the terms; both scaled by exp(-shift)."""
         out = np.empty(terms.shape[0])
         carry = 0.0
-        with np.errstate(divide="ignore"):
-            for lo, hi, shift, factor in self._bands:
-                part = np.cumsum(terms[lo:hi])
-                if carry:
-                    part += carry * factor
-                out[lo:hi] = np.log(part) + shift
-                carry = part[-1]
+        for lo, hi, factor in self._bands:
+            part = np.cumsum(terms[lo:hi], out=out[lo:hi])
+            part += carry * factor
+            carry = part[-1]
         return out
 
 
@@ -407,22 +403,17 @@ def _auto_x_min(params: ModelParams, q: float) -> float:
 
 def solve_wq(params: ModelParams, q: float,
              grid: VolterraGrid | None = None) -> VolterraSolution:
-    """Fixed-point solution of the integral equation for w_q = G_q'.
+    """Solution of the integral equation for w_q = G_q'.
 
-    Picard iteration on a fixed Gauss grid: the kernel application is a
-    prefix and a suffix sum (the kernel is separable on each side of the
-    diagonal), and the tail integral of the iterate is taken from a
-    cubic-spline antiderivative. The sums run in linear space: the kernel
-    weights are scaled once per grid, in bands of 600 nats along their
-    running maximum, and each band is one cumsum that holds its own
-    largest weight, so no partial sum underflows. q = 0 returns the seed
-    itself; a loop still above grid.tol after grid.max_iter iterations
-    raises ConvergenceError. The domain starts where psi_q has decayed to
-    1e-12 of its peak, or at x - (a - x)/20 if lower, so it holds x.
-    truncation_error is the change of G_q when the solve is repeated on a
-    domain twice as deep; while it exceeds TRUNCATION_TOL the solve moves
-    to the deeper domain, at most three times, and then raises
-    AccuracyError.
+    The linear system (I - eta q K) w = w0 on a fixed Gauss grid is solved
+    by unrestarted GMRES from zero (K: see _GreenKernel). q = 0 returns w0
+    itself; a solve whose residual 2-norm is still above grid.tol after
+    grid.max_iter Krylov iterations raises ConvergenceError. The domain
+    starts where psi_q has decayed to 1e-12 of its peak, or at
+    x - (a - x)/20 if lower, so it holds x. truncation_error is the
+    change of G_q when the solve is repeated on a domain twice as deep;
+    while it exceeds TRUNCATION_TOL the solve moves to the deeper domain,
+    at most three times, and then raises AccuracyError.
 
     The Weber functions on the grids are read from one certified
     LogPcfTable of D_nu(+z) and one of D_nu(-z) (the latter only for
@@ -515,23 +506,25 @@ def _gauss_nodes(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _GreenKernel:
     """The Green kernel applied to the tail integral of w, at the grid nodes.
 
-    For w on xs, with T(y) = -int_y^a w (clipped at 0), it returns
+    A linear map: for w on xs, with T(y) = -int_y^a w, it returns
 
         chi(x_i) sum_{y < x_i} P(y) T(y) + psi(x_i) sum_{y > x_i} Q(y) T(y)
 
-    over the Gauss nodes y of _gauss_nodes(xs); P and Q are the kernel's
-    psi and chi sides times the Gauss weights, given as logs. The sums are
-    a prefix and a suffix over cells, each run by a _BandedScan; logP and
-    logQ are overwritten with its scaled weights. T comes from the
-    cubic-spline antiderivative of w, evaluated by Horner's rule at each
-    node's offset in its cell.
+    over the Gauss nodes y of _gauss_nodes(xs) (the kernel is separable on
+    each side of the diagonal); P and Q are the kernel's psi and chi sides
+    times the Gauss weights, given as logs. The sums are a prefix and a
+    suffix over cells, each run by a _BandedScan; logP and logQ are
+    overwritten with its scaled weights, and chi and psi are scaled back
+    by the shift of the sum they multiply. T comes from the cubic-spline
+    antiderivative of w, evaluated by Horner's rule at each node's offset
+    in its cell.
     """
 
     def __init__(self, xs: np.ndarray, nodes: np.ndarray,
                  lpsi_nodes: np.ndarray, lchi_nodes: np.ndarray,
                  logP: np.ndarray, logQ: np.ndarray):
         n_cells = xs.shape[0] - 1
-        self.xs, self.lpsi, self.lchi = xs, lpsi_nodes, lchi_nodes
+        self.xs = xs
         self.dx = nodes.reshape(3, n_cells) - xs[:-1]
         self.end_dx = xs[-1] - xs[-2]
         # psi's prefix runs left to right, chi's suffix right to left
@@ -543,21 +536,23 @@ class _GreenKernel:
         self.Q -= self.scan_q.shift[::-1]
         np.exp(self.P, out=self.P)
         np.exp(self.Q, out=self.Q)
+        # x_0 has no cell to its left, x_n none to its right
+        self.chi = np.exp(lchi_nodes[1:] + self.scan_p.shift)
+        self.psi = np.exp(lpsi_nodes[:-1] + self.scan_q.shift[::-1])
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         coef = CubicSpline(self.xs, w).antiderivative().c
-        tail = np.maximum(_horner(coef, self.dx)
-                          - _horner(coef[:, -1], self.end_dx), 0.0)
+        tail = _horner(coef, self.dx) - _horner(coef[:, -1], self.end_dx)
         terms = self.P * tail
         cell_p = terms[0] + terms[1]
         cell_p += terms[2]
         np.multiply(self.Q, tail, out=terms)
         cell_q = terms[0] + terms[1]
         cell_q += terms[2]
-        prefix = np.concatenate(([-math.inf], self.scan_p.accumulate(cell_p)))
-        suffix = np.concatenate(
-            (self.scan_q.accumulate(cell_q[::-1])[::-1], [-math.inf]))
-        return np.exp(self.lchi + prefix) + np.exp(self.lpsi + suffix)
+        out = np.zeros(self.xs.shape[0])
+        np.multiply(self.chi, self.scan_p.accumulate(cell_p), out=out[1:])
+        out[:-1] += self.psi * self.scan_q.accumulate(cell_q[::-1])[::-1]
+        return out
 
 
 def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
@@ -586,18 +581,22 @@ def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
         basis.log_chi_from(gl_nodes, ld_gl, ld_neg_gl) + gl_logw)
     del gl_nodes, gl_logw, ld_gl, ld_neg_gl
 
-    w = w0.copy()
+    # one restart cycle of max_iter steps; the callback gets |r| / |w0|.
+    # With |w0| <= tol gmres takes no step and returns w = 0.
+    b_norm = float(np.linalg.norm(w0))
     history = []
-    for _ in range(max_iter):
-        w_new = w0 + eta_q * kernel(w)
-        history.append(float(np.max(np.abs(w_new - w))))
-        w = w_new
-        if history[-1] <= tol:
-            return VolterraSolution(params, q, xs, w, w0, tuple(history),
-                                    math.nan, tables.rel_error,
-                                    tables.fit_nodes)
-    raise ConvergenceError(f"q={q:.12g}: sup_delta={history[-1]:.12g} after "
-                           f"{len(history)} iterations (tol {tol:.12g})")
+    system = LinearOperator((xs.shape[0],) * 2, dtype=float,
+                            matvec=lambda v: v - eta_q * kernel(v))
+    w, info = gmres(system, w0, rtol=0.0, atol=tol, restart=max_iter,
+                    maxiter=1, callback_type="pr_norm",
+                    callback=lambda r: history.append(float(r) * b_norm))
+    if info:
+        # near the rounding floor this is above the last running estimate
+        residual = float(np.linalg.norm(w0 - system.matvec(w)))
+        raise ConvergenceError(f"q={q:.12g}: residual={residual:.12g} after "
+                               f"{len(history)} iterations (tol {tol:.12g})")
+    return VolterraSolution(params, q, xs, w, w0, tuple(history) or (b_norm,),
+                            math.nan, tables.rel_error, tables.fit_nodes)
 
 
 def gq_from_solution(sol: VolterraSolution, x) -> np.ndarray | float:

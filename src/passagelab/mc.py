@@ -131,13 +131,14 @@ def estimate_gq_compensator(params: ModelParams, config: SimConfig, q: float,
     Averages the pathwise integral of exp(-q s) lam exp(-eta (a - X_s))
     up to tau: the intensity of crossing jumps seen from just below the
     barrier. Jumps never enter directly, and the route is biased only by
-    the time discretisation of the integral. It does not reduce variance:
-    at the reference model (4000 paths, seed 7) its standard error was
-    1.87, 1.61 and 1.38 times that of estimate_gq_indicator at q = 0, 0.05
-    and 0.1 (1.89, 1.63 and 1.40 on average over seeds 7 to 16). Taking
-    the integral over unrefined strides as its expectation given their
-    ends did not lower these ratios: the spread comes from tau and the
-    path, not from the noise inside a stride.
+    the time discretisation of the integral. Whether it reduces variance
+    depends on the model. At the reference model (4000 paths, seed 7) its
+    standard error was 1.87, 1.61 and 1.38 times the indicator's at q = 0,
+    0.05 and 0.1 (1.89, 1.63 and 1.40 over seeds 7 to 16); the spread comes
+    from tau and the path: taking the integral over unrefined strides as
+    its expectation given their ends did not lower these ratios. At G_q =
+    0.035 (alpha 0.194, beta -1.70, sigma 0.435, lam 0.406, eta 4.36, q
+    0.414; 5000 paths, horizon 20, seeds 9 to 11) it was 1/7.5 to 1/6.9.
     """
     res = _checked(params, config, result)
     samples = res.comp[:, res.q_index(float(q))]
