@@ -16,14 +16,18 @@ pulling the integral through turns it into a linear system
 whose q = 0 solution is the closed form w0; solve_wq solves it by GMRES.
 G0 itself, the integral of |w0| from x to the barrier, is taken with the
 x-integral swapped inside the t-integral that represents D_nu: one
-weighted cylinder quadrature per point (see g0). g0_profile integrates w0
-over x instead, an independent second route to the same values. The
-homogeneous solutions of the underlying operator are parabolic cylinder
-functions in a gauge that removes the first-order term: psi decays to the
-left and picks out the bounded solution, chi satisfies the reflecting
-(Robin) condition at the barrier. All basis values are handled in log
-space because chi grows like exp(2 p(x) - eta x) far below the barrier;
-the solver's kernel sums scale them once per grid (see _BandedScan).
+weighted cylinder integral per point (see g0). Each closed form (g0,
+creeping_prob, g0_prime, boundary_slope, homogeneous_basis and
+HomogeneousBasis.chi_prime) is one quadrature call: it hands every
+cylinder value it needs to one log_pcf_d_batch call. g0_profile
+integrates w0 over x instead, an independent second route to the same
+values. The homogeneous solutions of the underlying operator are
+parabolic cylinder functions in a gauge that removes the first-order
+term: psi decays to the left and picks out the bounded solution, chi
+satisfies the reflecting (Robin) condition at the barrier. All basis
+values are handled in log space because chi grows like exp(2 p(x) - eta x)
+far below the barrier; the solver's kernel sums scale them once per grid
+(see _BandedScan).
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .weber import (
     WeberContext,
     log_pcf_d,
     log_pcf_d_batch,
-    log_pcf_d_weighted,
     make_context,
 )
 
@@ -117,10 +120,8 @@ class HomogeneousBasis:
         ctx = self.ctx
         z = ctx.z(x)
         A = ctx.p_prime(x) + 0.5 * ctx.z1 * z
-        d0p = math.exp(log_pcf_d(ctx.nu_q, z))
-        d1p = math.exp(log_pcf_d(ctx.nu_q + 1.0, z))
-        d0m = math.exp(log_pcf_d(ctx.nu_q, -z))
-        d1m = math.exp(log_pcf_d(ctx.nu_q + 1.0, -z))
+        d0p, d1p, d0m, d1m = map(math.exp, log_pcf_d_batch(
+            [ctx.nu_q, ctx.nu_q + 1.0] * 2, [z, z, -z, -z]))
         return math.exp(ctx.p(x)) * (
             A * (d0m + self.ratio * d0p)
             + ctx.z1 * d1m - self.ratio * ctx.z1 * d1p)
@@ -145,15 +146,13 @@ def homogeneous_basis(params: ModelParams, q: float) -> HomogeneousBasis:
     ctx = make_context(params, q)
     za = ctx.z(params.a)
     nu = ctx.nu_q
-    l_d1_pos = log_pcf_d(nu + 1.0, za)
-    l_d1_neg = log_pcf_d(nu + 1.0, -za)
+    l_d1_pos, l_d1_neg, l_d0_pos, l_d0_neg = log_pcf_d_batch(
+        [nu + 1.0, nu + 1.0, nu, nu], [za, -za, za, -za]).tolist()
     if l_d1_pos - max(l_d1_pos, l_d1_neg) < _RESONANCE_FLOOR:
         raise ResonanceError(
             f"barrier-side cylinder value vanishes at index {nu + 1.0!r}; "
             "the Robin combination is not well conditioned here")
     log_ratio = l_d1_neg - l_d1_pos
-    l_d0_pos = log_pcf_d(nu, za)
-    l_d0_neg = log_pcf_d(nu, -za)
     # Wronskian at the barrier splits off exp(2p); both cross terms positive
     log_scale = math.log(-ctx.z1) + np.logaddexp(
         l_d0_pos + l_d1_neg, l_d0_neg + l_d1_pos)
@@ -191,7 +190,10 @@ def g0_prime(params: ModelParams, x: float) -> float:
     """Derivative in x of the undiscounted jump-crossing probability."""
     if x > params.a:
         raise StructuralError(f"x = {x!r} must not exceed the barrier")
-    return -float(np.exp(_log_w0_fn(params)(np.array([float(x)]))[0]))
+    ctx = make_context(params, 0.0)
+    log_d, log_d1_a = log_pcf_d_batch(
+        [ctx.nu_q, ctx.nu_q + 1.0], [ctx.z(x), ctx.z(params.a)]).tolist()
+    return -float(np.exp(_log_w0_from(params, ctx, float(x), log_d, log_d1_a)))
 
 
 def g0(params: ModelParams, x: float) -> float:
@@ -209,8 +211,9 @@ def g0(params: ModelParams, x: float) -> float:
         w(t) = (1 - exp(-u L)) / u,    L = a - x,
 
     which is smooth and lies in (0, min(L, 1/eta)]. The weighted integral
-    and log D_{nu+1}(z(a)) run the D_nu quadrature of weber, converged to
-    rtol _G0_RTOL = 1e-12; AccuracyError is raised if either stalls.
+    and log D_{nu+1}(z(a)) are two values of one log_pcf_d_batch call,
+    converged to rtol _G0_RTOL = 1e-12; AccuracyError is raised if either
+    stalls.
     g0_profile integrates w0 over x instead, so the two are independent
     routes to the same number.
     """
@@ -227,8 +230,9 @@ def g0(params: ModelParams, x: float) -> float:
         return np.log(-np.expm1(-u * dist) / u)
 
     za = ctx.z(a)
-    log_d = log_pcf_d_weighted(ctx.nu_q, za, log_weight, _G0_RTOL)
-    log_d1_a = log_pcf_d(ctx.nu_q + 1.0, za, _G0_RTOL)
+    log_d, log_d1_a = log_pcf_d_batch([ctx.nu_q, ctx.nu_q + 1.0], [za, za],
+                                      _G0_RTOL, log_weight,
+                                      [True, False]).tolist()
     return math.exp(_log_w0_from(params, ctx, a, log_d, log_d1_a))
 
 

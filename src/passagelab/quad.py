@@ -20,6 +20,7 @@ _GL_NODES = 64
 @lru_cache(maxsize=32)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_legendre(n)
+    x.flags.writeable = w.flags.writeable = False  # cached: shared by callers
     return x, w
 
 

@@ -11,7 +11,11 @@ for nu <= 0 from its real integral representation
 and packages the gauge bookkeeping into WeberContext. The same quadrature
 takes an optional smooth positive weight w(t) on the integrand
 (log_pcf_d_weighted), which is how the undiscounted closed form folds its
-x-integral into the t-integral. LogPcfTable replaces
+x-integral into the t-integral. log_pcf_d_batch broadcasts orders against
+arguments and runs every value as a row of one quadrature call, weighted
+or not; an order in (-1, 0) adds the two rows of its upward recurrence to
+that call. Each row refines its own panel count, and the panel rules are
+built once per count. LogPcfTable replaces
 that quadrature, on one fixed interval of z, by a certified piecewise
 Chebyshev interpolant for callers that need D_nu at very many points.
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -50,63 +55,73 @@ _MAX_PIECES = 64
 _ROUND_ULPS = 4.0
 
 
-def _phi(c: float, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # log integrand, c = -nu - 1 >= 0
-    if c == 0.0:
-        return -z * t - 0.5 * t * t
+def _phi(c, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # log integrand, c = -nu - 1 >= 0; at c = 0, 0 log t - z t is bitwise -z t
     return c * np.log(t) - z * t - 0.5 * t * t
 
 
-def _log_integral_batch(c: float, z: np.ndarray, rtol: float,
+@lru_cache(maxsize=8)
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes s, weights w and log s of the _GL_N-point Gauss rule on each of
+    `panels` equal panels of [0, 1]; read-only, shared by every call."""
+    nodes, weights = _gl_rule(_GL_N)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    s = (lo + width * (0.5 * (nodes + 1.0))[None, :]).ravel()
+    w = (width * (0.5 * weights)[None, :]).ravel()
+    rule = (s, w, np.log(s))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _log_integral_batch(c: np.ndarray, z: np.ndarray, rtol: float,
                         log_weight: Callable[[np.ndarray], np.ndarray]
-                        | None = None) -> np.ndarray:
-    """log of int_0^inf t^c exp(-z t - t^2/2) w(t) dt, elementwise over z.
+                        | None = None,
+                        weighted: np.ndarray | None = None) -> np.ndarray:
+    """log of int_0^inf t^c exp(-z t - t^2/2) w(t) dt, one value per row.
 
-    c >= 0. w = 1 unless log_weight, a function of t alone, gives log w; w
-    must be positive, smooth and bounded, because the peak t* and the
-    substitutions are those of the unweighted integrand.
+    c >= 0 and z are 1-d arrays of one length; each (c, z) pair is a row.
+    w = 1 unless log_weight, a function of t alone, gives log w; it then
+    applies to the rows where the boolean array `weighted` is True. w must
+    be positive, smooth and bounded, because the peak t* and the
+    substitutions are those of the unweighted integrand. Each row refines
+    its panel count until two levels agree to rtol and then leaves the
+    active set.
     """
-    z = np.asarray(z, dtype=float)
+    if log_weight is None:
+        weighted = np.zeros(len(z), dtype=bool)
 
-    def log_f(zz: np.ndarray, t: np.ndarray) -> np.ndarray:
-        if log_weight is None:
-            return _phi(c, zz, t)
-        return _phi(c, zz, t) + log_weight(t)
+    def log_f(cc, zz, wt, t):
+        out = _phi(cc, zz, t)
+        if wt.any():
+            out[wt] += log_weight(t[wt])
+        return out
 
-    if c > 0.0:
-        tstar = 0.5 * (-z + np.sqrt(z * z + 4.0 * c))
-    else:
-        tstar = np.maximum(-z, 0.0)
+    tstar = np.where(c > 0.0, 0.5 * (-z + np.sqrt(z * z + 4.0 * c)),
+                     np.maximum(-z, 0.0))
     phimax = np.where(tstar > 0.0, _phi(c, z, np.maximum(tstar, 1e-300)), 0.0)
 
-    nodes, weights = _gl_rule(_GL_N)
-    # master nodes on [0, 1]
-    s01 = 0.5 * (nodes + 1.0)
-    w01 = 0.5 * weights
-
     def level_values(idx: np.ndarray, panels: int) -> np.ndarray:
+        cc = c[idx][:, None]
         zz = z[idx][:, None]
         ts = tstar[idx][:, None]
         pm = phimax[idx][:, None]
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        lo = edges[:-1][:, None]
-        width = (edges[1:] - edges[:-1])[:, None]
-        s = (lo + width * s01[None, :]).ravel()[None, :]      # (1, panels*n)
-        w = (width * w01[None, :]).ravel()[None, :]
+        wt = weighted[idx]
+        s, w, log_s = _panel_rule(panels)
         # head: t = tstar * s^2 (softens the t^c endpoint), dt = 2 tstar s ds
         head = np.zeros(len(idx))
         mask = (ts[:, 0] > 0.0)
-        if np.any(mask):
+        if mask.any():
             t_h = ts[mask] * s * s
-            f_h = np.exp(log_f(zz[mask], np.maximum(t_h, 1e-300)) - pm[mask]) \
+            f_h = np.exp(log_f(cc[mask], zz[mask], wt[mask],
+                               np.maximum(t_h, 1e-300)) - pm[mask]) \
                 * 2.0 * ts[mask] * s
-            head_m = f_h @ w[0]
-            head[mask] = head_m
+            head[mask] = f_h @ w
         # tail: t = tstar - log u, dt = -du/u, so the 1/u becomes exp(t - tstar)
-        t_t = ts - np.log(s)
-        f_t = np.exp(log_f(zz, t_t) - pm + (t_t - ts))
-        tail = f_t @ w[0]
-        return head + tail
+        t_t = ts - log_s
+        f_t = np.exp(log_f(cc, zz, wt, t_t) - pm + (t_t - ts))
+        return head + f_t @ w
 
     n = len(z)
     out = np.empty(n)
@@ -128,29 +143,52 @@ def _log_integral_batch(c: float, z: np.ndarray, rtol: float,
     return np.log(out) + phimax
 
 
-def log_pcf_d_batch(nu: float, z, rtol: float = TOL_PCF) -> np.ndarray:
-    """Elementwise log D_nu(z) for nu <= 0 (D_nu > 0 on this range)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if nu > 0.0:
-        raise UnsupportedRegimeError(f"pcf order must be <= 0, got {nu:g}")
-    if nu == 0.0:
-        return -0.25 * z * z
-    if nu > -1.0:
-        # lift the integrable endpoint singularity with one upward recurrence:
-        # D_nu = z D_(nu-1) - (nu - 1) D_(nu-2), both shifted orders <= -1
-        l1 = log_pcf_d_batch(nu - 1.0, z, rtol)
-        l2 = log_pcf_d_batch(nu - 2.0, z, rtol)
+def log_pcf_d_batch(nu, z, rtol: float = TOL_PCF,
+                    log_weight: Callable[[np.ndarray], np.ndarray]
+                    | None = None, weighted=True) -> np.ndarray:
+    """Elementwise log D_nu(z) for nu <= 0 (D_nu > 0 on this range).
+
+    nu broadcasts against z, so one call takes values of several orders
+    and arguments, and all of them share one quadrature call. An order in
+    (-1, 0), whose integrand is singular at t = 0, is lifted by one upward
+    recurrence, D_nu = z D_(nu-1) - (nu - 1) D_(nu-2), whose two orders
+    <= -1 become rows of that same call. With log_weight, the values where the boolean
+    mask `weighted` (broadcast against z) is True get the weight w(t) on
+    their integrand, as log_pcf_d_weighted describes; they need nu <= -1.
+    """
+    nu, z, weighted = np.broadcast_arrays(
+        np.asarray(nu, dtype=float), np.atleast_1d(np.asarray(z, dtype=float)),
+        np.asarray(weighted) & (log_weight is not None))
+    if (nu > 0.0).any():
+        raise UnsupportedRegimeError(
+            f"pcf order must be <= 0, got {nu.max():g}")
+    if (weighted & (nu > -1.0)).any():
+        raise UnsupportedRegimeError(
+            f"weighted pcf order must be <= -1, got {nu[weighted].max():g}")
+    lift = (nu > -1.0) & (nu < 0.0)
+    direct = ~lift & (nu != 0.0)
+    orders = np.concatenate([nu[direct], nu[lift] - 1.0, nu[lift] - 2.0])
+    args = np.concatenate([z[direct], z[lift], z[lift]])
+    rows_weighted = np.concatenate([weighted[direct], weighted[lift],
+                                    weighted[lift]])
+    lgam = np.array([math.lgamma(-v) for v in orders])
+    logs = -0.25 * args * args - lgam + _log_integral_batch(
+        -orders - 1.0, args, rtol, log_weight, rows_weighted)
+    out = -0.25 * z * z
+    out[direct] = logs[:direct.sum()]
+    if lift.any():
+        l1, l2 = np.split(logs[direct.sum():], 2)
         m = np.maximum(l1, l2)
-        val = z * np.exp(l1 - m) + (1.0 - nu) * np.exp(l2 - m)
-        if np.any(val <= 0.0):
-            raise AccuracyError(f"recurrence lost positivity at nu={nu:g}")
-        return m + np.log(val)
-    c = -nu - 1.0
-    return -0.25 * z * z - math.lgamma(-nu) + _log_integral_batch(c, z, rtol)
+        val = z[lift] * np.exp(l1 - m) + (1.0 - nu[lift]) * np.exp(l2 - m)
+        if (val <= 0.0).any():
+            raise AccuracyError(
+                f"recurrence lost positivity at nu={nu[lift][val <= 0.0][0]:g}")
+        out[lift] = m + np.log(val)
+    return out
 
 
 def log_pcf_d(nu: float, z: float, rtol: float = TOL_PCF) -> float:
-    return float(log_pcf_d_batch(nu, np.array([z]), rtol)[0])
+    return float(log_pcf_d_batch(nu, z, rtol)[0])
 
 
 def log_pcf_d_weighted(nu: float, z: float,
@@ -163,12 +201,7 @@ def log_pcf_d_weighted(nu: float, z: float,
     log_weight maps an array of t to log w(t); w must be positive, smooth
     and bounded. w = 1 gives log D_nu(z).
     """
-    if nu > -1.0:
-        raise UnsupportedRegimeError(
-            f"weighted pcf order must be <= -1, got {nu:g}")
-    c = -nu - 1.0
-    return float(-0.25 * z * z - math.lgamma(-nu) + _log_integral_batch(
-        c, np.array([float(z)]), rtol, log_weight)[0])
+    return float(log_pcf_d_batch(nu, z, rtol, log_weight)[0])
 
 
 def pcf_d(nu: float, z: float) -> float:

@@ -352,22 +352,57 @@ def test_seed_term_sign_and_consistency():
         g0_prime(REF, at_zero.grid[32]), rel=1e-9)
 
 
-def test_closed_forms_evaluate_each_scalar_cylinder_value_once(monkeypatch):
-    # the benchmark counts scalar quadratures by wrapping this attribute
+def _record_quadrature_calls(monkeypatch) -> list:
+    """Patch weber's quadrature to record each call's rows (c, z, weighted)."""
     calls = []
+    integral = weber._log_integral_batch
 
-    def counted(nu, z, *args, **kwargs):
-        calls.append((nu, z))
-        return log_pcf_d(nu, z, *args, **kwargs)
+    def counted(c, z, rtol, log_weight=None, weighted=None):
+        calls.append(list(zip(c.tolist(), z.tolist(), weighted.tolist())))
+        return integral(c, z, rtol, log_weight, weighted)
 
-    monkeypatch.setattr(analytic, "log_pcf_d", counted)
-    for run, want in ((lambda: g0(REF, 0.0), 1),
-                      (lambda: boundary_slope(REF), 1),
-                      (lambda: homogeneous_basis(REF, 0.05), 4)):
-        calls.clear()
-        run()
-        assert len(calls) == want
-        assert len(set(calls)) == want
+    monkeypatch.setattr(weber, "_log_integral_batch", counted)
+    return calls
+
+
+def _quadrature_rows(nu: float, z: float, weighted: bool = False) -> list:
+    """The rows (c, z, weighted) log D_nu(z) takes in weber's quadrature:
+    c = -nu - 1 for nu <= -1, else the recurrence's orders nu - 1, nu - 2."""
+    orders = [nu] if nu <= -1.0 else [nu - 1.0, nu - 2.0]
+    return [(-o - 1.0, z, weighted) for o in orders]
+
+
+def _assert_same_rows(got: list, want: list):
+    assert len(got) == len(want)
+    got, want = sorted(got), sorted(want)
+    assert [r[2] for r in got] == [r[2] for r in want]
+    assert np.array([r[:2] for r in got]) == pytest.approx(
+        np.array([r[:2] for r in want]), rel=1e-15, abs=1e-15)
+
+
+def test_closed_forms_evaluate_each_scalar_cylinder_value_once(monkeypatch):
+    # every cylinder value a closed form needs, the rows of the upward
+    # recurrence for an order in (-1, 0) included, is one row of a single
+    # quadrature call; lam = 0.3 puts nu + 1 = -0.6 in that range
+    calls = _record_quadrature_calls(monkeypatch)
+    for params in (REF, dataclasses.replace(REF, lam=0.3)):
+        ctx0, ctx = make_context(params, 0.0), make_context(params, 0.05)
+        za0, za = ctx0.z(params.a), ctx.z(params.a)
+        d1_a = _quadrature_rows(ctx0.nu_q + 1.0, za0)
+        basis_rows = [row for nu in (ctx.nu_q, ctx.nu_q + 1.0)
+                      for z in (za, -za) for row in _quadrature_rows(nu, z)]
+        for run, want in (
+                (lambda: g0(params, 0.0),
+                 _quadrature_rows(ctx0.nu_q, za0, True) + d1_a),
+                (lambda: creeping_prob(params, 0.0),
+                 _quadrature_rows(ctx0.nu_q, za0, True) + d1_a),
+                (lambda: boundary_slope(params),
+                 _quadrature_rows(ctx0.nu_q, za0) + d1_a),
+                (lambda: homogeneous_basis(params, 0.05), basis_rows)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+            _assert_same_rows(calls[0], want)
 
 
 # ---------------------------------------------------------------------------
@@ -457,23 +492,25 @@ def test_g0_matches_profile_route(params):
 
 
 def test_g0_is_two_cylinder_integrals_and_no_x_quadrature(monkeypatch):
-    # the x-integral sits inside the t-integral of D_nu(z(a)); the other
-    # integral is log D_{nu+1}(z(a)), which normalises w0
-    weights = []
-    integral = weber._log_integral_batch
-
-    def counted(c, z, rtol, log_weight=None):
-        weights.append(log_weight)
-        return integral(c, z, rtol, log_weight)
-
+    # the x-integral sits inside the t-integral of D_nu(z(a)), the one
+    # weighted row; the other value is log D_{nu+1}(z(a)), which normalises
+    # w0. Both share one quadrature call, as does every other closed form.
     def forbidden(*args, **kwargs):
-        raise AssertionError("g0 ran an x-side quadrature")
+        raise AssertionError("a closed form ran an x-side quadrature")
 
-    monkeypatch.setattr(weber, "_log_integral_batch", counted)
+    calls = _record_quadrature_calls(monkeypatch)
     monkeypatch.setattr(analytic, "composite_gl", forbidden)
+    for run, n_rows, n_weighted in (
+            (lambda: g0(REF, 0.0), 2, 1),
+            (lambda: creeping_prob(REF, 0.0), 2, 1),
+            (lambda: boundary_slope(REF), 2, 0),
+            (lambda: homogeneous_basis(REF, 0.05), 4, 0)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+        assert len(calls[0]) == n_rows
+        assert sum(row[2] for row in calls[0]) == n_weighted
     assert g0(REF, 0.0) == pytest.approx(G0_AT_ZERO, abs=1e-12)
-    assert len(weights) == 2
-    assert sum(w is not None for w in weights) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from passagelab import weber
 from passagelab.errors import AccuracyError, UnsupportedRegimeError
+from passagelab.quad import _gl_rule
 from passagelab.simulate import ModelParams
 from passagelab.weber import (
     TABLE_RTOL,
@@ -97,15 +98,45 @@ def test_unit_weight_is_the_plain_integral(nu, z):
 
 
 def test_batch_matches_scalar():
-    # The adaptive panel count is decided for a batch as a whole, so a
-    # scalar call may stop a refinement earlier; values agree to a few ulp
-    # on the log scale and repeated identical calls are bitwise equal.
+    # Each value leaves the refinement when its own two levels agree, so a
+    # batch and a scalar call differ only through the summation order of the
+    # matrix-vector product over the nodes; values agree to a few ulp on the
+    # log scale and repeated identical calls are bitwise equal.
     zs = np.array([-30.0, -3.0, -0.4, 0.0, 1.7, 12.0, 80.0])
     for nu in (-0.3, -1.0, -2.7, -6.0):
         batch = log_pcf_d_batch(nu, zs)
         scalars = np.array([log_pcf_d(nu, float(z)) for z in zs])
         assert batch == pytest.approx(scalars, abs=1e-13)
         assert np.array_equal(batch, log_pcf_d_batch(nu, zs))
+
+
+def test_mixed_row_batch_matches_scalar_calls():
+    # one call over orders in (-1, 0) (two recurrence rows each), at -1 and
+    # below, with weighted and unweighted values of both signs of z
+    def log_weight(t):
+        return -np.log1p(t)
+
+    nu = np.array([-0.4, -0.4, -1.0, -1.0, -2.7, -2.7, -2.7, -0.95, -6.0])
+    zs = np.array([1.3, -1.3, 0.7, -2.07, 2.07, -2.07, 1.3, -0.5, 3.0])
+    weighted = np.array([0, 0, 0, 1, 0, 1, 1, 0, 0], dtype=bool)
+    batch = log_pcf_d_batch(nu, zs, weber.TOL_PCF, log_weight, weighted)
+    scalars = [log_pcf_d_weighted(n, z, log_weight) if w else log_pcf_d(n, z)
+               for n, z, w in zip(nu.tolist(), zs.tolist(), weighted)]
+    assert batch == pytest.approx(scalars, rel=0.0, abs=1e-13)
+    assert np.array_equal(
+        batch, log_pcf_d_batch(nu, zs, weber.TOL_PCF, log_weight, weighted))
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for k in (0, 1, 2, 4):
+            want = float(mp.pcfd(nu[k], zs[k]))
+            assert math.exp(batch[k]) == pytest.approx(want, rel=1e-9)
+
+
+def test_cached_rules_are_read_only():
+    # the node caches hand the same arrays to every caller
+    for arr in (*_gl_rule(64), *weber._panel_rule(4)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_large_argument_asymptotics():
