@@ -287,6 +287,31 @@ def classify_mode(record: CrossingRecord, eps: float = EPS_MODE) -> Mode:
     return Mode.JUMP_HIT if abs(y_at) <= eps else Mode.JUMP_OVER
 
 
+def _scan(pieces, level: float = 0.0, start: int = 0):
+    """First passage of Y = (c - level) + m t through 0 over pieces[start:].
+
+    The one owner of the crossing test on affine pieces (t0, t1, c, m).
+    Returns (k, tau, y_minus, y_at, crept): the index of the crossing piece
+    (len(pieces) and tau = +inf if none), and crept = True for a continuous
+    arrival inside piece k, else tau = t0 with Y_{tau-} and Y_tau read off
+    the pieces. y_minus is None if piece start - 1 would have supplied it.
+    """
+    prev_end_value = None
+    last = len(pieces) - 1
+    for k in range(start, last + 1):
+        t0, t1, c, m = pieces[k]
+        c = c - level
+        val0 = c + m * t0
+        if val0 >= 0.0:
+            # left limit at time zero is the value itself
+            return k, t0, val0 if t0 == 0.0 else prev_end_value, val0, False
+        val1 = c + m * t1
+        if m > 0.0 and (val1 > 0.0 or (k == last and val1 == 0.0)):
+            return k, min(max(-c / m, t0), t1), 0.0, 0.0, True
+        prev_end_value = val1
+    return last + 1, INF, math.nan, math.nan, False
+
+
 def first_passage(path: PiecewisePath, barrier: Barrier,
                   eps: float = EPS_MODE) -> CrossingRecord:
     """Exact passage record of the path through the barrier.
@@ -295,25 +320,13 @@ def first_passage(path: PiecewisePath, barrier: Barrier,
     mode classification. Returns a NO_CROSSING record with tau = +inf when
     the path stays strictly below the barrier through the horizon.
     """
-    pieces = _gap_pieces(path, barrier)
-    prev_end_value = None
-    for k, (t0, t1, c, m) in enumerate(pieces):
-        val0 = c + m * t0
-        if val0 >= 0.0:
-            if t0 == 0.0:
-                y_minus = val0  # left limit at time zero is the value itself
-            else:
-                y_minus = prev_end_value
-            rec = CrossingRecord(t0, y_minus, val0, Mode.NO_CROSSING)
-            return CrossingRecord(t0, y_minus, val0, classify_mode(rec, eps))
-        val1 = c + m * t1
-        is_last = (k == len(pieces) - 1)
-        if m > 0.0 and (val1 > 0.0 or (is_last and val1 == 0.0)):
-            tr = -c / m
-            tr = min(max(tr, t0), t1)
-            return CrossingRecord(tr, 0.0, 0.0, Mode.CREEP)
-        prev_end_value = val1
-    return CrossingRecord(INF, math.nan, math.nan, Mode.NO_CROSSING)
+    _, tau, y_minus, y_at, crept = _scan(_gap_pieces(path, barrier))
+    if crept:
+        return CrossingRecord(tau, 0.0, 0.0, Mode.CREEP)
+    if math.isinf(tau):
+        return CrossingRecord(INF, math.nan, math.nan, Mode.NO_CROSSING)
+    rec = CrossingRecord(tau, y_minus, y_at, Mode.NO_CROSSING)
+    return CrossingRecord(tau, y_minus, y_at, classify_mode(rec, eps))
 
 
 def restricted_times(record: CrossingRecord) -> tuple[float, float]:
@@ -358,16 +371,12 @@ def running_supremum(path: PiecewisePath, barrier: Barrier) -> PiecewisePath:
             if new_m > m_cur:
                 if t0 in jump_times and not _close(m_cur, new_m):
                     jumps.append(Jump(t0, m_cur, new_m))
-        if m <= 0.0:
-            emit(t0, t1, new_m, 0.0)
-            m_cur = new_m
-            continue
         val1 = c + m * t1
-        if val1 <= new_m:
+        # a rise starting at tc >= t1 after rounding would be an empty segment
+        if m <= 0.0 or val1 <= new_m or (tc := (new_m - c) / m) >= t1:
             emit(t0, t1, new_m, 0.0)
             m_cur = new_m
             continue
-        tc = (new_m - c) / m
         if tc > t0:
             emit(t0, tc, new_m, 0.0)
             emit(tc, t1, c, m)
@@ -386,18 +395,28 @@ def announcing_sequence(path: PiecewisePath, barrier: Barrier,
     exactly when that limit coincides with tau itself (+inf included): a
     premature left contact drags the whole sequence to the earlier contact
     time instead, and the report flags it via converged = False.
+
+    All the forecast times come from one sweep over the segments of S, the
+    levels taken in increasing order -1, -1/2, ..., -1/n_max, 0, each scan
+    starting at the segment where the previous level crossed. The times are
+    bitwise those of first_passage(S, Barrier.constant(level)): the rounding
+    of intercept - level and of c + m t is monotone in the level, so a
+    segment that fails the crossing test at one level fails it at every
+    higher level too, and no segment before the last crossing can hold the
+    next one.
     """
     if n_max < 1:
         raise StructuralError("n_max must be >= 1")
     rec = first_passage(path, barrier)
     tau_contact, _ = restricted_times(rec)
     sup_path = running_supremum(path, barrier)
-    zero = Barrier.constant(0.0)
-    sigma = []
-    for n in range(1, n_max + 1):
-        level = Barrier.constant(-1.0 / n)
-        sigma.append(first_passage(sup_path, level).tau)
-    sigma_limit = first_passage(sup_path, zero).tau
+    pieces = [(s.t_start, s.t_end, s.intercept, s.slope)
+              for s in sup_path.segments]
+    k, times = 0, []
+    for level in [-1.0 / n for n in range(1, n_max + 1)] + [0.0]:
+        k, t = _scan(pieces, level, k)[:2]
+        times.append(t)
+    *sigma, sigma_limit = times
     rho = tuple(min(s, float(n)) for n, s in enumerate(sigma, start=1))
     tau = rec.tau
     if math.isinf(sigma_limit) and math.isinf(tau):

@@ -16,7 +16,7 @@ from passagelab.acceptance import AcceptanceSettings
 from passagelab.analytic import VolterraGrid
 from passagelab.cli import _build_parser, main, resolve_config
 from passagelab.errors import StructuralError
-from passagelab.paths import PiecewisePath, Segment, save_path
+from passagelab.paths import Jump, PiecewisePath, Segment, save_path
 
 TINY_SIM = ["--set", "sim.n_paths=600", "--set", "sim.step=0.005",
             "--set", "sim.horizon=25"]
@@ -87,6 +87,22 @@ class TestClassify:
                                "--barrier", "1.0")
         assert code == 0
         assert math.isclose(float(kv_lines(out)["tau"]), 3.0)
+
+    def test_supremum_rise_rounding_onto_its_end(self, tmp_path, capsys):
+        # the start of the running supremum's rise on [2, 2.265...) rounds
+        # to the end of that piece at this level
+        path = PiecewisePath(
+            segments=(Segment(0.0, 2.0, -1.0, 0.5),
+                      Segment(2.0, 2.2651730038312357, -4.530346007662471, 2.0),
+                      Segment(2.2651730038312357, 10.0, 0.0, 0.0)),
+            jumps=(Jump(2.0, 0.0, -0.5303460076624712),), horizon=10.0)
+        fname = tmp_path / "rise.path"
+        save_path(path, fname)
+        code, out, _ = run_cli(capsys, "classify", str(fname),
+                               "--barrier", "0.413930191311247")
+        assert code == 0
+        assert kv_lines(out)["sigma"] == \
+            "0.827860382622,1.82786038262,inf,inf,inf,inf,inf,inf"
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "classify")

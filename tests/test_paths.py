@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from passagelab import paths
 from passagelab.acceptance import random_compliant_path, random_violating_path
 from passagelab.errors import InconsistencyError, StructuralError
 from passagelab.paths import (
@@ -31,8 +32,22 @@ from passagelab.paths import (
     running_supremum,
     save_path,
 )
+from passagelab.simulate import (
+    CompoundPoissonSpec,
+    LatticeJumps,
+    simulate_compound_poisson,
+)
 
 ZERO = Barrier.constant(0.0)
+
+# a rise on [2, 2.2651730038312357) whose start in the running supremum
+# against this level rounds to the end of the piece
+ROUNDED_RISE = PiecewisePath(
+    (Segment(0.0, 2.0, -1.0, 0.5),
+     Segment(2.0, 2.2651730038312357, -4.530346007662471, 2.0),
+     Segment(2.2651730038312357, 10.0, 0.0, 0.0)),
+    (Jump(2.0, 0.0, -0.5303460076624712),), 10.0)
+ROUNDED_RISE_BARRIER = Barrier.constant(0.413930191311247)
 
 
 def ramp_path(y0: float, slope: float, horizon: float = 10.0) -> PiecewisePath:
@@ -245,11 +260,25 @@ class TestRunningSupremum:
 
     def test_many_random_paths_validate(self):
         # regression: re-evaluating a continuous junction on the next piece
-        # can land one ulp above the running max and must not emit a jump
+        # can land one ulp above the running max and must not emit a jump;
+        # against a nonzero level the start of a rise can round onto the
+        # end of its piece and must not emit an empty segment
         rng = np.random.default_rng(20260819)
+        other = np.random.default_rng(3)
         for _ in range(200):
             path = random_compliant_path(rng)
             running_supremum(path, ZERO)
+            level = Barrier.constant(float(other.uniform(-1.0, 1.0)))
+            running_supremum(path, level)
+            running_supremum(random_violating_path(other), level)
+
+    def test_rise_rounding_onto_its_end_stays_flat(self):
+        sup = running_supremum(ROUNDED_RISE, ROUNDED_RISE_BARRIER)
+        assert all(s.t_start < s.t_end for s in sup.segments)
+        rep = announcing_sequence(ROUNDED_RISE, ROUNDED_RISE_BARRIER, n_max=8)
+        assert rep.sigma == (0.827860382622494, 1.827860382622494) \
+            + (math.inf,) * 6
+        assert math.isinf(rep.sigma_limit) and rep.converged
 
 
 class TestAnnouncing:
@@ -302,6 +331,31 @@ class TestAnnouncing:
         with pytest.raises(StructuralError):
             announcing_sequence(ramp_path(-1.0, 0.0), ZERO, n_max=0)
 
+    def test_one_passage_and_one_supremum_per_call(self, monkeypatch):
+        calls = {"first_passage": 0, "running_supremum": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(paths, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(paths, name, counted)
+        announcing_sequence(load_corpus("premature_contact"), ZERO, n_max=16)
+        assert calls == {"first_passage": 1, "running_supremum": 1}
+
+    @pytest.mark.parametrize("source", ["lattice", "corpus"])
+    def test_sweep_is_bitwise_on_replays_and_corpus(self, source):
+        if source == "lattice":
+            spec = CompoundPoissonSpec(1.0, LatticeJumps((1.0, 2.0), (0.5, 0.5)),
+                                       1.0, 0.0)
+            level = Barrier.constant(spec.barrier_level)
+            cases = [(simulate_compound_poisson(spec, 7, 8.0, path_index=i)[0],
+                      level) for i in range(40)]
+        else:
+            cases = [(load_corpus(name), ZERO)
+                     for name in ("touch_and_jump", "premature_contact")]
+        for path, barrier in cases:
+            for n_max in (1, 8, 16):
+                _assert_sweep_is_oracle(path, barrier, n_max)
+
 
 class TestPathFiles:
     def test_round_trip_is_exact(self, tmp_path):
@@ -353,6 +407,32 @@ def _sample_times(path: PiecewisePath, seed: int) -> np.ndarray:
                                      knots)))
 
 
+def _assert_sweep_is_oracle(path: PiecewisePath, barrier: Barrier,
+                            n_max: int) -> None:
+    """announcing_sequence's times equal, bit for bit, one first_passage
+    call on the running supremum per level."""
+    sup = running_supremum(path, barrier)
+    sigma = [first_passage(sup, Barrier.constant(-1.0 / n)).tau
+             for n in range(1, n_max + 1)]
+    limit = first_passage(sup, ZERO).tau
+    rep = announcing_sequence(path, barrier, n_max=n_max)
+    assert [s.hex() for s in rep.sigma] == [s.hex() for s in sigma]
+    assert rep.sigma_limit.hex() == limit.hex()
+
+
+def _barrier(kind: str, path: PiecewisePath, seed: int) -> Barrier:
+    """Level 0, a constant level in (-1, 1), or _moving_barrier."""
+    if kind == "zero":
+        return ZERO
+    if kind == "constant":
+        rng = np.random.default_rng([seed, 2])
+        return Barrier.constant(float(rng.uniform(-1.0, 1.0)))
+    return _moving_barrier(path, seed)
+
+
+_BARRIER_KINDS = st.sampled_from(("zero", "constant", "moving"))
+
+
 def _moving_barrier(path: PiecewisePath, seed: int) -> Barrier:
     """Piecewise-linear barrier around 0 with knots at about half the path's
     segment boundaries and at 1-3 times in between; the first knot is at or
@@ -377,15 +457,29 @@ class TestPathProperties:
             assert load_path(fname) == path
 
     @_PROPERTY
-    @given(seed=_SEEDS, compliant=st.booleans())
-    def test_running_supremum_is_monotone_and_dominates(self, seed, compliant):
+    @given(seed=_SEEDS, compliant=st.booleans(), kind=_BARRIER_KINDS)
+    def test_running_supremum_is_monotone_and_dominates(self, seed, compliant,
+                                                        kind):
         path = _draw(seed, compliant)
-        sup = running_supremum(path, ZERO)
+        barrier = _barrier(kind, path, seed)
+        sup = running_supremum(path, barrier)
         ts = _sample_times(path, seed)
         s = np.array([sup.value(float(t)) for t in ts])
-        y = np.array([path.value(float(t)) for t in ts])
+        y = np.array([path.value(float(t)) - barrier.value(float(t))
+                      for t in ts])
+        # S is built from c + m t with c = intercept - b, which rounds
+        # otherwise than X_t - b(t) does unless b = 0
+        tol = 0.0 if kind == "zero" else 1e-13
         assert np.all(np.diff(s) >= 0.0)
-        assert np.all(s >= y)
+        assert np.all(s >= y - tol * np.maximum(1.0, np.abs(y)))
+
+    @_PROPERTY
+    @given(seed=_SEEDS, compliant=st.booleans(), kind=_BARRIER_KINDS,
+           n_max=st.sampled_from((1, 8, 16)))
+    def test_sweep_is_bitwise_the_per_level_passage(self, seed, compliant,
+                                                    kind, n_max):
+        path = _draw(seed, compliant)
+        _assert_sweep_is_oracle(path, _barrier(kind, path, seed), n_max)
 
     # twice the examples, so each barrier kind gets about as many as the
     # other property tests
