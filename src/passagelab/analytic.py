@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (AccuracyError, ConvergenceError, ResonanceError,
@@ -326,10 +327,11 @@ class VolterraSolution:
         return self.delta_history[-1]
 
     def _antiderivative(self):
+        """The spline antiderivative of w and its value at the barrier."""
         cached = getattr(self, "_anti", None)
         if cached is None:
-            cached = CubicSpline(self.grid, self.w_values).antiderivative()
-            self._anti = cached
+            anti = CubicSpline(self.grid, self.w_values).antiderivative()
+            cached = self._anti = (anti, anti(self.params.a))
         return cached
 
 
@@ -481,21 +483,6 @@ class _WeberTables:
         return self.pos(zs), None if self.neg is None else self.neg(-zs)
 
 
-def _horner(coef: np.ndarray, dx):
-    """Piecewise polynomials at offsets dx from their cells' left ends.
-
-    coef is a PPoly coefficient array, highest power first, with one column
-    per cell; dx has one column of offsets per cell, or is a scalar when
-    coef is a single column.
-    """
-    val = coef[0] * dx
-    for row in coef[1:-1]:
-        val += row
-        val *= dx
-    val += coef[-1]
-    return val
-
-
 def _gauss_nodes(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 3-point Gauss nodes of the cells of xs, and their log weights.
 
@@ -505,6 +492,74 @@ def _gauss_nodes(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * np.diff(xs)
     nodes = (mid[None, :] + half[None, :] * _GL3_POINTS[:, None]).ravel()
     return nodes, np.log(half[None, :] * _GL3_WEIGHTS[:, None]).ravel()
+
+
+class _SplineTail:
+    """T(y) = -int_y^a w at the Gauss nodes, off the not-a-knot spline of w.
+
+    A linear map from w on xs, set up once per grid; any mesh will do. The
+    spline's knot slopes s solve a tridiagonal system with the rows
+    CubicSpline uses, whose matrix depends on xs alone, so it is LU-factored
+    here once. The nodes sit at fixed fractions t_j of their cells (read
+    off the first cell), so the integral of the cubic Hermite piece of cell
+    k from its j-th node to the cell's right end is
+
+        dx_k (c_j0 w_k + c_j2 w_k+1) + dx_k^2 (c_j1 s_k + c_j3 s_k+1)
+
+    with a constant matrix c of Hermite basis integrals over [t_j, 1]; its
+    row t = 0 gives whole cells, which one reversed cumsum adds up to the
+    right of each node. Per grid it keeps the LU factors and dx.
+    """
+
+    def __init__(self, xs: np.ndarray, nodes: np.ndarray):
+        n_cells = xs.shape[0] - 1
+        self.dx = dx = np.diff(xs)
+        # not-a-knot end rows; rows 1..n-1 are
+        # dx_i s_i-1 + 2 (dx_i-1 + dx_i) s_i + dx_i-1 s_i+1
+        self.d_start, self.d_end = xs[2] - xs[0], xs[-1] - xs[-3]
+        diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.concatenate(([self.d_start], dx[:-1]))
+        lower = np.concatenate((dx[1:], [self.d_end]))
+        *self.lu, info = dgttrf(lower, diag, upper, overwrite_dl=True,
+                                overwrite_d=True, overwrite_du=True)
+        if info:
+            raise StructuralError("singular spline system: cells must have "
+                                  "positive width")
+        t = np.concatenate(([0.0], (nodes[::n_cells] - xs[0]) / dx[0]))[:, None]
+        t2, t3, t4 = t * t, t * t * t, t * t * t * t
+        # columns: h00, h10, h01, h11 integrated over [t, 1]
+        self.c = np.hstack([0.5 - (0.5 * t4 - t3 + t),
+                            1.0 / 12.0 - (0.25 * t4 - 2.0 / 3.0 * t3 + 0.5 * t2),
+                            0.5 - (t3 - 0.5 * t4),
+                            -1.0 / 12.0 - (0.25 * t4 - t3 / 3.0)])
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """T at the nodes, one row per node of the cell, one column per cell."""
+        dx = self.dx
+        slope = np.diff(w)
+        slope /= dx
+        rhs = np.empty(w.shape[0])
+        np.multiply(dx[1:], slope[:-1], out=rhs[1:-1])
+        rhs[1:-1] += dx[:-1] * slope[1:]
+        rhs[1:-1] *= 3.0
+        d0, d1 = self.d_start, self.d_end
+        rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0]
+                  + dx[0] ** 2 * slope[1]) / d0
+        rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                   + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        s, _ = dgttrs(*self.lu, rhs, overwrite_b=True)
+        ends = np.empty((4, dx.shape[0]))
+        ends[0] = w[:-1]
+        np.multiply(dx, s[:-1], out=ends[1])
+        ends[2] = w[1:]
+        np.multiply(dx, s[1:], out=ends[3])
+        parts = self.c @ ends
+        parts *= dx
+        # the whole cells to the right of each cell
+        right = np.cumsum(parts[0, :0:-1])[::-1]
+        tail = parts[1:]
+        tail[:, :-1] += right
+        return np.negative(tail, out=tail)
 
 
 class _GreenKernel:
@@ -519,18 +574,17 @@ class _GreenKernel:
     times the Gauss weights, given as logs. The sums are a prefix and a
     suffix over cells, each run by a _BandedScan; logP and logQ are
     overwritten with its scaled weights, and chi and psi are scaled back
-    by the shift of the sum they multiply. T comes from the cubic-spline
-    antiderivative of w, evaluated by Horner's rule at each node's offset
-    in its cell.
+    by the shift of the sum they multiply. T comes from a _SplineTail, the
+    spline antiderivative's linear map factored once per grid, so a product
+    builds no spline.
     """
 
     def __init__(self, xs: np.ndarray, nodes: np.ndarray,
                  lpsi_nodes: np.ndarray, lchi_nodes: np.ndarray,
                  logP: np.ndarray, logQ: np.ndarray):
         n_cells = xs.shape[0] - 1
-        self.xs = xs
-        self.dx = nodes.reshape(3, n_cells) - xs[:-1]
-        self.end_dx = xs[-1] - xs[-2]
+        self.n_points = xs.shape[0]
+        self.tail = _SplineTail(xs, nodes)
         # psi's prefix runs left to right, chi's suffix right to left
         self.P = logP.reshape(3, n_cells)
         self.Q = logQ.reshape(3, n_cells)
@@ -545,15 +599,14 @@ class _GreenKernel:
         self.psi = np.exp(lpsi_nodes[:-1] + self.scan_q.shift[::-1])
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        coef = CubicSpline(self.xs, w).antiderivative().c
-        tail = _horner(coef, self.dx) - _horner(coef[:, -1], self.end_dx)
+        tail = self.tail(w)
         terms = self.P * tail
         cell_p = terms[0] + terms[1]
         cell_p += terms[2]
         np.multiply(self.Q, tail, out=terms)
         cell_q = terms[0] + terms[1]
         cell_q += terms[2]
-        out = np.zeros(self.xs.shape[0])
+        out = np.zeros(self.n_points)
         np.multiply(self.chi, self.scan_p.accumulate(cell_p), out=out[1:])
         out[:-1] += self.psi * self.scan_q.accumulate(cell_q[::-1])[::-1]
         return out
@@ -605,11 +658,11 @@ def _solve_on(tables: _WeberTables, x_min: float, n_cells: int,
 
 def gq_from_solution(sol: VolterraSolution, x) -> np.ndarray | float:
     """G_q(x) = -integral of w_q from x to the barrier, off the spline."""
-    anti = sol._antiderivative()
+    anti, anti_a = sol._antiderivative()
     xs = np.asarray(x, dtype=float)
     if np.any(xs < sol.grid[0]) or np.any(xs > sol.params.a):
         raise StructuralError("x outside the solved domain")
-    out = anti(xs) - anti(sol.params.a)
+    out = anti(xs) - anti_a
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 

@@ -5,9 +5,9 @@ workers. Criteria are asserted on the serial run; the two rendered
 reports must then agree byte for byte, which closes the loop that
 criterion 11 can only open from inside a single run.
 
-This module is the slow part of the test suite (a few minutes): it
-simulates 2 x 200k diffusion paths twice plus the compound Poisson
-batches. Deselect with `-k "not acceptance"` during development.
+This module is the slow part of the test suite (about 15 s): each of the
+two runs simulates two batches of 100k diffusion paths plus the compound
+Poisson batches. Deselect with `-k "not acceptance"` during development.
 """
 
 import pytest

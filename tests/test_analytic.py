@@ -786,6 +786,34 @@ def test_kernel_matches_dense_green_product(params, q, min_bands):
     assert np.all(np.abs(kernel(w) - want) <= 1e-12 * size)
 
 
+def _mesh(kind, n_cells, x_min=-6.0, a=1.0):
+    """A uniform mesh, or one graded to the barrier by expm1 with rate
+    kappa: x = a - (a - x_min) expm1(kappa u) / expm1(kappa)."""
+    if kind == "uniform":
+        return np.linspace(x_min, a, n_cells + 1)
+    kappa = float(kind.split("=")[1])
+    u = np.linspace(1.0, 0.0, n_cells + 1)
+    return a - (a - x_min) * np.expm1(kappa * u) / np.expm1(kappa)
+
+
+@pytest.mark.parametrize("kind,n_cells", [
+    ("uniform", 16), ("uniform", 17), ("uniform", 1024), ("uniform", 16384),
+    ("kappa=4", 1024), ("kappa=8", 1024),
+])
+def test_spline_tail_matches_cubic_spline_antiderivative(kind, n_cells):
+    xs = _mesh(kind, n_cells)
+    assert np.all(np.diff(xs) > 0.0)
+    nodes, _ = analytic._gauss_nodes(xs)
+    tail = analytic._SplineTail(xs, nodes)
+    rng = np.random.default_rng(n_cells)
+    for w in (rng.normal(size=xs.shape[0]),
+              np.sin(9.0 * xs) + rng.uniform(-0.1, 0.1, xs.shape[0])):
+        anti = CubicSpline(xs, w).antiderivative()
+        want = (anti(nodes) - anti(xs[-1])).reshape(3, n_cells)
+        got = tail(w)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want)))
+
+
 def test_reference_sweep_iteration_counts():
     # criterion 5's sweep on the default grid, as the benchmark records it
     assert [solve_wq(REF, q).iterations for q in (0.01, 0.05, 0.1)] \
