@@ -4,9 +4,10 @@ The diffusion estimators read a precomputed SimResult, so that several
 quantities share one simulation; the params and config they are given
 must be the ones it was simulated under. The compound Poisson estimators
 take a CpResult, or simulate one from (n_paths, seed, horizon) when given
-None. Standard errors are sample standard deviations of the per-path
-contributions divided by sqrt(n), so "within k standard errors" statements
-compose across independent runs; on fewer than 2 paths they raise
+None; they refuse a CpResult drawn under another stream version. Standard
+errors are sample standard deviations of the per-path contributions
+divided by sqrt(n), so "within k standard errors" statements compose
+across independent runs; on fewer than 2 paths they raise
 UnderSampleError.
 """
 
@@ -21,6 +22,7 @@ from scipy.special import expm1, kolmogorov
 from .errors import StructuralError, UnderSampleError
 from .paths import CODE_OF, Mode
 from .simulate import (
+    CP_STREAM_VERSION,
     STREAM_VERSION,
     CompoundPoissonSpec,
     CpResult,
@@ -206,6 +208,15 @@ def estimate_overshoot_moments(params: ModelParams, config: SimConfig,
 # ---------------------------------------------------------------------------
 # compound Poisson side
 
+def _cp_checked(result: CpResult) -> CpResult:
+    if result.stream_version != CP_STREAM_VERSION:
+        raise StructuralError(
+            f"precomputed result uses compound Poisson stream version "
+            f"{result.stream_version}, this engine draws version "
+            f"{CP_STREAM_VERSION}")
+    return result
+
+
 def estimate_cp_mode_probs(spec: CompoundPoissonSpec, n_paths: int, seed: int,
                            horizon: float,
                            result: CpResult | None = None
@@ -216,7 +227,7 @@ def estimate_cp_mode_probs(spec: CompoundPoissonSpec, n_paths: int, seed: int,
     touch_jump and creep, which a path reaches only through the EPS_MODE
     tolerance.
     """
-    res = result if result is not None else run_compound_poisson(
+    res = _cp_checked(result) if result is not None else run_compound_poisson(
         spec, n_paths, seed, horizon)
     return _mode_probs(res.modes, (Mode.JUMP_HIT, Mode.JUMP_OVER, Mode.CENSORED,
                                    Mode.TOUCH_JUMP, Mode.CREEP))
@@ -238,7 +249,7 @@ def compensator_martingale_check(spec: CompoundPoissonSpec, times,
         horizon = float(grid[-1]) if grid.size else 1.0
     if grid.size and grid[-1] > horizon:
         raise StructuralError("grid times must not exceed the horizon")
-    res = result if result is not None else run_compound_poisson(
+    res = _cp_checked(result) if result is not None else run_compound_poisson(
         spec, n_paths, seed, horizon, grid=grid)
     if result is not None and (res.grid.shape != grid.shape
                                or not np.array_equal(res.grid, grid)):

@@ -60,12 +60,28 @@ the batch's totals of strides, refined strides, normals and uniforms drawn.
 Every number is a function of (params, config, q, path index) only, so
 results are bitwise identical for any worker count, block size or group
 width, and simulate_crossing replays any member of a batch bit for bit.
+
+The compound Poisson sandbox walks all of a batch's paths at once, one
+event of every live path per step, in lane chunks of _CP_LANES. Path i
+reads the raw 64-bit outputs of the Philox4x64-10 stream keyed by
+(seed, i) in the compound Poisson namespace, in order, one output per
+draw: output 2e gives event e's gap to the previous event (an exponential
+of rate intensity), and output 2e + 1, read only when that event falls
+within the horizon, its jump size. Each output becomes the uniform
+((raw >> 12) + 1/2) 2**-52 in (0, 1), inverted: -log(u)/rate for the gap
+and an exponential jump, and the lattice value at the first cdf entry
+above u for a lattice jump. CP_STREAM_VERSION names this layout and is
+recorded in every CpResult. The batch computes the raw blocks with numpy
+array arithmetic; simulate_compound_poisson reads the same blocks from
+numpy.random.Philox and runs the same walk on one lane, so it replays any
+member of a batch bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import numbers
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -75,6 +91,7 @@ import numpy as np
 from .errors import StructuralError
 from .paths import (
     CODE_OF,
+    EPS_MODE,
     MODE_CODES,
     Barrier,
     CrossingRecord,
@@ -82,7 +99,6 @@ from .paths import (
     Mode,
     PiecewisePath,
     Segment,
-    classify_mode,
     first_passage,
 )
 
@@ -156,9 +172,12 @@ class SimConfig:
 
 
 def _stream_key(seed: int, namespace: int, index: int) -> np.ndarray:
-    if index >= (1 << 48):
-        raise StructuralError("path index exceeds the 48-bit stream space")
-    return np.array([seed & _MASK64, (namespace << 48) | index], dtype=np.uint64)
+    if not 0 <= seed <= _MASK64:
+        raise StructuralError(f"seed {seed!r} does not fit in 64 bits")
+    if not 0 <= index < (1 << 48):
+        raise StructuralError(
+            f"path index {index!r} lies outside the 48-bit stream space")
+    return np.array([seed, (namespace << 48) | index], dtype=np.uint64)
 
 
 def _path_rng(seed: int, namespace: int, index: int) -> np.random.Generator:
@@ -818,21 +837,78 @@ def simulate_crossing(params: ModelParams, config: SimConfig, q: float = 0.0,
     return SimResult(params, config, q_tuple, *rows)
 
 
+
+
 # ---------------------------------------------------------------------------
 # compound Poisson model (piecewise-constant paths, general jump law)
 
-class JumpLaw:
-    """Interface of a positive jump law: one draw, and the closed upper tail.
+CP_STREAM_VERSION = 2  # the draw order of a compound Poisson path's stream
+_CP_LANES = 4096       # compound Poisson paths walked at once
+# the multipliers and key increments of Philox4x64 (Salmon et al. 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = 0xFFFFFFFF
 
-    draw(rng) returns one jump size from rng; tail(y) is P(U >= y), the
-    intensity factor of the compensator. LatticeJumps and ExponentialJumps
-    implement it.
+
+def _mulhilo(m: int, x):
+    """High and low 64-bit words of m times x, elementwise.
+
+    x is a uint64 array or a Python int below 2**64. The high word is summed
+    from 32-bit halves, so no partial sum leaves 64 bits.
+    """
+    lo = x * m
+    if isinstance(lo, int):
+        lo &= _MASK64
+    m_lo, m_hi = m & _LO32, m >> 32
+    x_lo, x_hi = x & _LO32, x >> 32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> 32)
+    u = x_lo * m_hi + (t & _LO32)
+    return x_hi * m_hi + (t >> 32) + (u >> 32), lo
+
+
+def _philox_blocks(counter: int, key0: int, key1: np.ndarray) -> np.ndarray:
+    """Block `counter` of Philox4x64-10 under each key (key0, key1[i]).
+
+    Row j of the (4, n) result is output j of the block, so the blocks
+    counter = 1, 2, ... of one key are what numpy.random.Philox(key=...)
+    .random_raw returns, in order. The counter words above the first are 0,
+    so the first round multiplies Python ints only.
+    """
+    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
+    c0, c1, c2, c3 = counter, 0, 0, 0
+    k0, k1 = key0, key1
+    for r in range(10):
+        if r:
+            k0 = (k0 + w0) & _MASK64
+            k1 = k1 + w1
+        hi0, lo0 = _mulhilo(m0, c0)
+        hi1, lo1 = _mulhilo(m1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3))
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The top 52 bits of each raw output as the midpoint of its cell of (0, 1).
+
+    ((raw >> 12) + 1/2) 2**-52 is exact in double precision and lies in
+    [2**-53, 1 - 2**-53]. Keeping 53 bits would round the top cell's
+    midpoint up to 1.
+    """
+    return ((raw >> 12) + 0.5) * 2.0 ** -52
+
+
+class JumpLaw:
+    """Interface of a positive jump law: inversion, and the closed upper tail.
+
+    invert(u) is the jump size of each uniform u in (0, 1); tail(y) is
+    P(U >= y), the intensity factor of the compensator. Both take arrays.
+    LatticeJumps and ExponentialJumps implement it.
     """
 
-    def draw(self, rng: np.random.Generator) -> float:
+    def invert(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def tail(self, y: float) -> float:
+    def tail(self, y):
         raise NotImplementedError
 
 
@@ -844,22 +920,31 @@ class LatticeJumps(JumpLaw):
     def __post_init__(self):
         if len(self.values) != len(self.probs) or not self.values:
             raise StructuralError("values and probs must match and be nonempty")
-        if any(v <= 0.0 for v in self.values):
-            raise StructuralError("jump values must be positive")
-        if abs(sum(self.probs) - 1.0) > 1e-12 or any(p < 0 for p in self.probs):
+        if not all(0.0 < v < math.inf for v in self.values):
+            raise StructuralError("jump values must be positive and finite")
+        if not all(0.0 <= p <= 1.0 for p in self.probs) \
+                or abs(sum(self.probs) - 1.0) > 1e-12:
             raise StructuralError("probs must be a probability vector")
 
     @cached_property
-    def _cdf(self) -> list[float]:
+    def _cdf(self) -> np.ndarray:
         cum = np.cumsum(self.probs)
-        return (cum / cum[-1]).tolist()
+        return cum / cum[-1]
 
-    def draw(self, rng):
-        # the index and stream position of rng.choice(len(values), p=probs)
-        return float(self.values[bisect_right(self._cdf, rng.random())])
+    @cached_property
+    def _tails(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values in increasing order, and P(U >= each) followed by 0."""
+        order = np.argsort(self.values, kind="stable")
+        above = np.cumsum(np.asarray(self.probs)[order[::-1]])[::-1]
+        return np.asarray(self.values)[order], np.append(above, 0.0)
+
+    def invert(self, u):
+        # the index rng.choice(len(values), p=probs) takes for the uniform u
+        return np.asarray(self.values)[np.searchsorted(self._cdf, u, "right")]
 
     def tail(self, y):
-        return float(sum(p for v, p in zip(self.values, self.probs) if v >= y))
+        values, above = self._tails
+        return above[np.searchsorted(values, y, "left")]
 
 
 @dataclass(frozen=True)
@@ -867,14 +952,14 @@ class ExponentialJumps(JumpLaw):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise StructuralError("rate must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise StructuralError("rate must be positive and finite")
 
-    def draw(self, rng):
-        return rng.exponential(1.0 / self.rate)
+    def invert(self, u):
+        return -np.log(u) / self.rate
 
     def tail(self, y):
-        return 1.0 if y <= 0.0 else math.exp(-self.rate * y)
+        return np.exp(-self.rate * np.maximum(y, 0.0))
 
 
 @dataclass(frozen=True)
@@ -885,37 +970,87 @@ class CompoundPoissonSpec:
     start: float
 
     def __post_init__(self):
-        if not self.intensity > 0.0:
-            raise StructuralError("intensity must be positive")
+        if not 0.0 < self.intensity < math.inf:
+            raise StructuralError("intensity must be positive and finite")
+        if not (math.isfinite(self.start) and math.isfinite(self.barrier_level)):
+            raise StructuralError("start and barrier_level must be finite")
         if not self.start < self.barrier_level:
             raise StructuralError("start must lie strictly below the barrier")
 
 
-def _cp_events(spec: CompoundPoissonSpec, rng: np.random.Generator,
-               horizon: float):
-    """Jump times and post-jump levels until crossing or horizon.
+def _cp_horizon(horizon) -> float:
+    h = float(horizon)
+    if not (h > 0.0 and math.isfinite(h)):
+        raise StructuralError(f"bad horizon {horizon!r}")
+    return h
 
-    Returns (times, levels, crossed) where levels[k] is the value right
-    after times[k]; the walk stops at the first level >= barrier. Each event
-    draws the exponential gap to it, then, if it falls within the horizon,
-    one jump size from jump_law.draw.
+
+def _crossing_codes(y_minus: np.ndarray, y_at: np.ndarray) -> np.ndarray:
+    """classify_mode's code of each crossing from below, y_minus < 0 <= y_at.
+
+    As classify_mode does, the gaps count as 0 within EPS_MODE: a jump from
+    the barrier is touch_jump (creep if it also lands there), and a jump from
+    below is jump_hit when it lands there and jump_over otherwise.
     """
-    t = 0.0
-    x = spec.start
-    times: list[float] = []
-    levels: list[float] = []
-    crossed = False
-    while True:
-        t += rng.exponential(1.0 / spec.intensity)
-        if t > horizon:
-            break
-        x = x + spec.jump_law.draw(rng)
-        times.append(t)
-        levels.append(x)
-        if x >= spec.barrier_level:
-            crossed = True
-            break
-    return times, levels, crossed
+    codes = np.array([CODE_OF[m] for m in (Mode.JUMP_OVER, Mode.JUMP_HIT,
+                                            Mode.TOUCH_JUMP, Mode.CREEP)],
+                     dtype=np.int8)
+    return codes[2 * (np.abs(y_minus) <= EPS_MODE) + (np.abs(y_at) <= EPS_MODE)]
+
+
+def _cp_walk(spec: CompoundPoissonSpec, horizon: float, grid: np.ndarray,
+             blocks, n: int, events: list | None = None):
+    """Walk n compound Poisson paths (lanes), one event of each live lane per step.
+
+    blocks(k, lanes) returns the raw block k = 1, 2, ... of the stream of
+    each lane in `lanes`, shape (4, lanes.size). Event e of a lane reads
+    output 2e for its gap and 2e + 1 for its jump, so step e needs block
+    e // 2 + 1. A lane stops when its next event falls after the horizon
+    (censored) or lands at or above the barrier (crossed). The compensator
+    adds lam P(U >= a - level) |[s0, min(t, s1)]| of each flat piece at the
+    grid times t, piece after piece, so each lane sums in its own order.
+    Returns the mode codes, taus and compensator; a list given as events
+    receives each step's (lanes, jump times, post-jump levels).
+    """
+    lam, a, law = spec.intensity, spec.barrier_level, spec.jump_law
+    taus = np.full(n, math.inf)
+    y_minus = np.empty(n)
+    y_at = np.empty(n)
+    comp = np.zeros((n, grid.shape[0]))
+    live = np.arange(n)
+    t = np.zeros(n)
+    x = np.full(n, float(spec.start))
+    e = 0
+    while live.size:
+        j = 2 * (e % 2)
+        if j == 0:
+            u = _uniforms(blocks(e // 2 + 1, live))
+        t1 = t - np.log(u[j]) / lam
+        if grid.shape[0]:
+            # the flat piece [t, min(t1, horizon)) at level x
+            s1 = np.minimum(t1, horizon)
+            comp[live] += (lam * law.tail(a - x))[:, None] * np.clip(
+                np.minimum(grid, s1[:, None]) - t[:, None], 0.0, None)
+        go = (t1 <= horizon).nonzero()[0]
+        live, t, x0 = live[go], t1[go], x[go]
+        x = x0 + law.invert(u[j + 1, go])
+        if events is not None:
+            events.append((live, t, x))
+        over = x >= a
+        if over.any():
+            up = live[over]
+            taus[up] = t[over]
+            y_minus[up] = x0[over] - a
+            y_at[up] = x[over] - a
+            stay = (~over).nonzero()[0]
+            live, t, x, go = live[stay], t[stay], x[stay], go[stay]
+        if j == 0:
+            u = u[:, go]
+        e += 1
+    modes = np.full(n, CODE_OF[Mode.CENSORED], dtype=np.int8)
+    crossed = np.isfinite(taus)
+    modes[crossed] = _crossing_codes(y_minus[crossed], y_at[crossed])
+    return modes, taus, comp
 
 
 def cp_to_path(spec: CompoundPoissonSpec, times: list[float],
@@ -938,16 +1073,30 @@ def cp_to_path(spec: CompoundPoissonSpec, times: list[float],
     return PiecewisePath(tuple(segs), tuple(jumps), padded)
 
 
+# each thread's generator for replays, re-keyed onto the replayed path per call
+_REPLAY = threading.local()
+
+
 def simulate_compound_poisson(spec: CompoundPoissonSpec, seed: int,
                               horizon: float, path_index: int = 0
                               ) -> tuple[PiecewisePath, CrossingRecord]:
     """One compound Poisson path as a PiecewisePath, classified exactly.
 
     path_index selects the same stream as path path_index of a batch run
-    with this seed, so single-path inspection can replay any batch member.
+    with this seed, and the path is the batch's walk on that one lane, so
+    single-path inspection replays any batch member bit for bit. Its blocks
+    come from numpy's Philox, which is faster than the batch's array
+    generator on one lane and draws the same numbers.
     """
-    rng = _path_rng(int(seed), _NS_CP, path_index)
-    times, levels, _ = _cp_events(spec, rng, horizon)
+    horizon = _cp_horizon(horizon)
+    if not hasattr(_REPLAY, "stream"):
+        _REPLAY.stream = _Stream()
+    bits = _REPLAY.stream.rekey(int(seed), _NS_CP, path_index).bit_generator
+    events: list = []
+    _cp_walk(spec, horizon, np.empty(0),
+             lambda k, lanes: bits.random_raw(4)[:, None], 1, events)
+    times = [float(t[0]) for _, t, _ in events if t.size]
+    levels = [float(x[0]) for _, _, x in events if x.size]
     path = cp_to_path(spec, times, levels, horizon)
     record = first_passage(path, Barrier.constant(spec.barrier_level))
     return path, record
@@ -959,7 +1108,8 @@ class CpResult:
 
     taus is inf on a censored path. crossed_at, the indicator 1{tau <= t}
     of shape (n, len(grid)), is derived from taus and grid on each access,
-    so a censored row reads 0 throughout.
+    so a censored row reads 0 throughout. stream_version names the draw
+    order the paths came from.
     """
 
     spec: CompoundPoissonSpec
@@ -968,6 +1118,7 @@ class CpResult:
     modes: np.ndarray        # int8 codes, see paths.MODE_CODES
     taus: np.ndarray
     comp_at: np.ndarray      # compensator at grid times, shape (n, len(grid))
+    stream_version: int = CP_STREAM_VERSION
 
     @property
     def n(self) -> int:
@@ -982,80 +1133,37 @@ class CpResult:
 CP_MODE_CODES = MODE_CODES
 
 
-def _cp_compensator(grid: np.ndarray, n_paths: int, starts: np.ndarray,
-                    ends: np.ndarray, rates: np.ndarray,
-                    owners: np.ndarray) -> np.ndarray:
-    """Each path's sum of rate * |[s0, min(t, s1)]| over its pieces, at grid t.
-
-    The pieces are given path after path (owners nondecreasing). Piece k of
-    every path is added at step k, so each path sums its pieces in their
-    own order, starting from 0.
-    """
-    comp = np.zeros((n_paths, grid.shape[0]))
-    if not owners.shape[0]:
-        return comp
-    contrib = rates[:, None] * np.clip(
-        np.minimum(grid, ends[:, None]) - starts[:, None], 0.0, None)
-    # each piece's place in its own path
-    rank = np.arange(owners.shape[0]) - np.searchsorted(owners, owners)
-    order = np.argsort(rank, kind="stable")
-    lo = 0
-    for hi in np.cumsum(np.bincount(rank)).tolist():
-        step = order[lo:hi]
-        comp[owners[step]] += contrib[step]
-        lo = hi
-    return comp
-
-
 def run_compound_poisson(spec: CompoundPoissonSpec, n_paths: int, seed: int,
                          horizon: float,
                          grid: Sequence[float] = ()) -> CpResult:
     """Simulate n_paths compound Poisson paths with exact jump bookkeeping.
 
     A path crosses at its first post-jump level at or above the barrier.
-    classify_mode at EPS_MODE labels the crossing from the gaps just before
-    and after that jump, as first_passage does for the replayed path, so a
-    lattice walk landing within EPS_MODE of the level is a jump_hit. The
-    compensator uses the closed-tail intensity lam * P(U >= a - X_s)
-    integrated along the flat pieces up to min(t, tau).
+    The crossing is labelled by classify_mode's rule at EPS_MODE from the
+    gaps just before and after that jump, as first_passage does for the
+    replayed path, so a lattice walk landing within EPS_MODE of the level
+    is a jump_hit. The compensator uses the closed-tail intensity
+    lam * P(U >= a - X_s) integrated along the flat pieces up to min(t, tau).
+    The paths are walked _CP_LANES at a time, and each lane's numbers
+    depend on its own stream only.
     """
+    if not (isinstance(n_paths, numbers.Integral) and n_paths >= 1):
+        raise StructuralError(f"n_paths must be an integer >= 1, got {n_paths!r}")
+    n = int(n_paths)
+    horizon = _cp_horizon(horizon)
+    seed = int(seed)
+    _stream_key(seed, _NS_CP, n - 1)
     grid = np.asarray(sorted(float(t) for t in grid))
-    n_grid = grid.shape[0]
-    modes = np.empty(n_paths, dtype=np.int8)
-    taus = np.empty(n_paths)
-    lam = spec.intensity
-    a = spec.barrier_level
-    # the flat pieces with a positive intensity, path after path
-    starts: list[float] = []
-    ends: list[float] = []
-    rates: list[float] = []
-    owners: list[int] = []
-    stream = _Stream()
-    for i in range(n_paths):
-        rng = stream.rekey(int(seed), _NS_CP, i)
-        times, levels, did_cross = _cp_events(spec, rng, horizon)
-        # the level on each flat piece [0, t_1), [t_1, t_2), ...
-        flat_levels = [spec.start] + levels
-        if did_cross:
-            tau = times[-1]
-            rec = CrossingRecord(tau, flat_levels[-2] - a, flat_levels[-1] - a,
-                                 Mode.NO_CROSSING)
-            modes[i] = CODE_OF[classify_mode(rec)]
-        else:
-            tau = math.inf
-            modes[i] = CODE_OF[Mode.CENSORED]
-        taus[i] = tau
-        if n_grid:
-            # pieces end at the next jump; a censored path's last one at the
-            # horizon, while a crossed path stops at tau
-            piece_ends = times if did_cross else times + [horizon]
-            for s0, s1, lvl in zip([0.0] + times, piece_ends, flat_levels):
-                rate = lam * spec.jump_law.tail(a - lvl)
-                if rate != 0.0:
-                    starts.append(s0)
-                    ends.append(s1)
-                    rates.append(rate)
-                    owners.append(i)
-    comp = _cp_compensator(grid, n_paths, np.array(starts), np.array(ends),
-                           np.array(rates), np.array(owners, dtype=np.intp))
+    if not np.all(np.isfinite(grid)):
+        raise StructuralError("grid times must be finite")
+    modes = np.empty(n, dtype=np.int8)
+    taus = np.empty(n)
+    comp = np.empty((n, grid.shape[0]))
+    for lo in range(0, n, _CP_LANES):
+        hi = min(n, lo + _CP_LANES)
+        keys = (_NS_CP << 48) | np.arange(lo, hi, dtype=np.uint64)
+        modes[lo:hi], taus[lo:hi], comp[lo:hi] = _cp_walk(
+            spec, horizon, grid,
+            lambda k, lanes, keys=keys: _philox_blocks(k, seed, keys[lanes]),
+            hi - lo)
     return CpResult(spec, horizon, grid, modes, taus, comp)

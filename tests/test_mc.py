@@ -19,6 +19,7 @@ from passagelab.mc import (
 )
 from passagelab.paths import CODE_OF, Mode
 from passagelab.simulate import (
+    CP_STREAM_VERSION,
     CompoundPoissonSpec,
     ExponentialJumps,
     LatticeJumps,
@@ -161,6 +162,15 @@ class TestCompoundPoisson:
         assert check.n == 4000
         assert check.worst_sigma <= 4.0
         assert check.max_abs_deviation < 0.05
+
+    def test_other_stream_version_rejected(self, cp_batch):
+        spec, grid, res = cp_batch
+        old = dataclasses.replace(res, stream_version=CP_STREAM_VERSION - 1)
+        with pytest.raises(StructuralError, match="stream version"):
+            estimate_cp_mode_probs(spec, 4000, 21, 4.0, result=old)
+        with pytest.raises(StructuralError, match="stream version"):
+            compensator_martingale_check(spec, grid, 4000, 21, horizon=4.0,
+                                         result=old)
 
     def test_grid_mismatch_rejected(self, cp_batch):
         spec, _grid, res = cp_batch

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +11,17 @@ from scipy.linalg import solve_banded
 
 from passagelab import simulate
 from passagelab.errors import StructuralError
-from passagelab.paths import CODE_OF, Mode, first_passage, Barrier
+from passagelab.paths import (
+    CODE_OF,
+    EPS_MODE,
+    Barrier,
+    CrossingRecord,
+    Mode,
+    classify_mode,
+    first_passage,
+)
 from passagelab.simulate import (
+    CP_STREAM_VERSION,
     CompoundPoissonSpec,
     ExponentialJumps,
     LatticeJumps,
@@ -543,6 +553,9 @@ class TestStrides:
                             "uniforms": 1548}
 
 
+CP_SPEC = CompoundPoissonSpec(1.0, ExponentialJumps(2.0), 1.0, 0.0)
+
+
 class TestCompoundPoisson:
     def test_degenerate_unit_jump_hits_exactly(self):
         spec = CompoundPoissonSpec(intensity=1.0, jump_law=LatticeJumps((1.0,), (1.0,)),
@@ -630,47 +643,48 @@ class TestCompoundPoisson:
                                 barrier_level=1.0, start=0.0)
 
     def test_stream_layout_is_pinned(self):
-        # values recorded from the per-path stream layout: one exponential
-        # waiting time, then one jump draw, per event
+        # values recorded from the stream layout of CP_STREAM_VERSION 2: raw
+        # Philox outputs 2e and 2e + 1 give event e its gap and its jump
         lat = run_compound_poisson(
             CompoundPoissonSpec(1.0, LatticeJumps((1.0, 2.0), (0.5, 0.5)),
                                 1.0, 0.0), 6, seed=2026, horizon=8.0)
         assert lat.modes.tolist() == [JUMP_OVER, JUMP_HIT, JUMP_OVER,
                                       JUMP_HIT, JUMP_HIT, JUMP_OVER]
         assert [float(t).hex() for t in lat.taus[:3]] == [
-            "0x1.5eb2a39b62dfap+2", "0x1.31f9477716bd9p+1",
-            "0x1.6ca81953a78b3p-1"]
+            "0x1.128be040b866fp-5", "0x1.9a34286cd8d8ep-3",
+            "0x1.43a9383209f52p-1"]
         exp = run_compound_poisson(
             CompoundPoissonSpec(1.0, ExponentialJumps(2.0), 1.0, 0.0), 6,
             seed=2026, horizon=8.0, grid=(0.5, 2.0, 8.0))
-        assert exp.modes.tolist() == [CENSORED] + [JUMP_OVER] * 5
+        assert exp.modes.tolist() == [JUMP_OVER] * 6
         assert [float(t).hex() for t in exp.taus[:3]] == [
-            "inf", "0x1.778a8bbb00939p+1", "0x1.554ed6e1ae36ep+0"]
+            "0x1.1d2538d148daep-1", "0x1.36cd9fd24b693p+2",
+            "0x1.60966ea02e67dp+1"]
         assert [float(c).hex() for c in exp.comp_at[0]] == [
-            "0x1.152aaa3bf81ccp-4", "0x1.152aaa3bf81ccp-2",
-            "0x1.6d73536f506abp+0"]
+            "0x1.99fdae797c926p-3", "0x1.d928eb3be4703p-3",
+            "0x1.d928eb3be4703p-3"]
         assert [float(c).hex() for c in exp.comp_at[3]] == [
-            "0x1.6cdc8cd674fb0p-4", "0x1.140bde38bdf9ep-1",
-            "0x1.581a69810c572p+0"]
+            "0x1.152aaa3bf81ccp-4", "0x1.152aaa3bf81ccp-2",
+            "0x1.0038d2fac44bap+0"]
         assert exp.crossed_at.tolist() == [
-            [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
-            [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+            [0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
 
     @pytest.mark.parametrize("law", [
         LatticeJumps((1.0, 2.0), (0.5, 0.5)),
         LatticeJumps((0.1, 0.3, 0.7, 2.0), (0.1, 0.2, 0.3, 0.4)),
         LatticeJumps((0.5, 1.0, 1.5), (0.0, 1 / 3, 2 / 3))])
     def test_lattice_draw_matches_numpy_choice(self, law):
-        # same index and the same stream position as
-        # rng.choice(len(values), p=probs)
+        # the same index as rng.choice(len(values), p=probs) for the same
+        # uniform, which choice draws with rng.random()
         for seed in range(5):
             ours = np.random.Generator(np.random.Philox(seed))
             ref = np.random.Generator(np.random.Philox(seed))
-            for _ in range(500):
-                want = law.values[ref.choice(len(law.values),
-                                             p=np.asarray(law.probs))]
-                assert law.draw(ours) == want
-            assert ours.random() == ref.random()
+            got = law.invert(ours.random(500))
+            want = [law.values[ref.choice(len(law.values),
+                                          p=np.asarray(law.probs))]
+                    for _ in range(500)]
+            assert got.tolist() == want
 
     def test_lattice_tail_closed_above(self):
         law = LatticeJumps((1.0, 2.0), (0.5, 0.5))
@@ -682,16 +696,18 @@ class TestCompoundPoisson:
     @pytest.mark.parametrize("law", [
         ExponentialJumps(2.0), LatticeJumps((0.4, 0.9), (0.5, 0.5))])
     def test_compensator_sums_each_path_in_its_own_order(self, law):
-        # the batch's one array pass against the piece-by-piece sum of every
-        # path, bitwise; the lattice path starts on a piece of rate 0
+        # the batch's one array pass against the piece-by-piece sum over the
+        # jumps of every replayed path, bitwise; the lattice path starts on
+        # a piece of rate 0
         spec = CompoundPoissonSpec(1.5, law, 1.0, 0.0)
         grid = np.array([0.25, 1.0, 3.0, 6.0])
         res = run_compound_poisson(spec, 200, seed=31, horizon=6.0,
                                    grid=grid)
-        stream = _Stream()
         for i in range(200):
-            rng = stream.rekey(31, simulate._NS_CP, i)
-            times, levels, crossed = simulate._cp_events(spec, rng, 6.0)
+            path, rec = simulate_compound_poisson(spec, 31, 6.0, path_index=i)
+            times = [j.time for j in path.jumps]
+            levels = [j.right_value for j in path.jumps]
+            crossed = rec.mode is not Mode.NO_CROSSING
             ends = times if crossed else times + [6.0]
             want = np.zeros(grid.shape[0])
             for s0, s1, lvl in zip([0.0] + times, ends, [0.0] + levels):
@@ -701,6 +717,97 @@ class TestCompoundPoisson:
                                            None)
             assert [c.hex() for c in res.comp_at[i].tolist()] \
                 == [c.hex() for c in want.tolist()]
+
+    def test_lane_numbers_do_not_depend_on_the_batch(self, monkeypatch):
+        # path i's mode, tau and compensator are bitwise the same for every
+        # batch size and on either side of a lane chunk boundary
+        spec = CompoundPoissonSpec(1.0, ExponentialJumps(2.0), 1.0, 0.0)
+        grid = (0.5, 2.0, 8.0)
+
+        def batch(n):
+            res = run_compound_poisson(spec, n, seed=17, horizon=8.0,
+                                       grid=grid)
+            return res.modes, res.taus, res.comp_at
+
+        full = batch(5000)
+        assert simulate._CP_LANES == 4096
+        for n in (5, 4095, 4097):
+            for got, want in zip(batch(n), full):
+                assert np.array_equal(got, want[:n])
+        monkeypatch.setattr(simulate, "_CP_LANES", 7)
+        for got, want in zip(batch(40), full):
+            assert np.array_equal(got, want[:40])
+
+    def test_replays_in_threads_match_the_batch(self):
+        # each thread re-keys its own generator, so concurrent replays
+        # still read their own paths' streams
+        spec = CompoundPoissonSpec(1.0, ExponentialJumps(2.0), 1.0, 0.0)
+        res = run_compound_poisson(spec, 64, seed=5, horizon=8.0)
+
+        def taus(lanes):
+            return [simulate_compound_poisson(spec, 5, 8.0, path_index=i)[1].tau
+                    for i in lanes]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as ex:
+                futs = [ex.submit(taus, range(w, 64, 4)) for w in range(4)]
+                got = [f.result(timeout=60) for f in futs]
+        finally:
+            sys.setswitchinterval(switch)
+        for w, tau in enumerate(got):
+            assert np.array_equal(res.taus[w::4], tau)
+
+    def test_event_at_the_horizon_counts(self):
+        # a path cut at its own crossing time still crosses there
+        res = run_compound_poisson(CP_SPEC, 20, seed=3, horizon=8.0)
+        i = int(np.flatnonzero(np.isfinite(res.taus))[0])
+        tau = float(res.taus[i])
+        cut = run_compound_poisson(CP_SPEC, 20, seed=3, horizon=tau)
+        assert cut.taus[i] == tau and cut.modes[i] == res.modes[i]
+        _, rec = simulate_compound_poisson(CP_SPEC, 3, tau, path_index=i)
+        assert rec.tau == tau
+
+    def test_compensator_stops_at_the_horizon(self):
+        res = run_compound_poisson(CP_SPEC, 50, seed=4, horizon=2.0,
+                                   grid=(2.0, 5.0))
+        assert (res.modes == CENSORED).sum() > 0
+        assert np.array_equal(res.comp_at[:, 0], res.comp_at[:, 1])
+
+    def test_result_records_its_stream_version(self):
+        spec = CompoundPoissonSpec(1.0, ExponentialJumps(2.0), 1.0, 0.0)
+        res = run_compound_poisson(spec, 3, seed=0, horizon=1.0)
+        assert res.stream_version == CP_STREAM_VERSION == 2
+
+    @pytest.mark.parametrize("y_minus", [-1.0, -2 * EPS_MODE, -EPS_MODE,
+                                         -0.5 * EPS_MODE])
+    @pytest.mark.parametrize("y_at", [0.0, 0.5 * EPS_MODE, EPS_MODE,
+                                      2 * EPS_MODE, 1.0])
+    def test_crossing_codes_follow_classify_mode(self, y_minus, y_at):
+        want = classify_mode(CrossingRecord(1.0, y_minus, y_at,
+                                            Mode.NO_CROSSING))
+        got = simulate._crossing_codes(np.array([y_minus]), np.array([y_at]))
+        assert got.tolist() == [CODE_OF[want]]
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_compound_poisson(CP_SPEC, -3, 0, 8.0),
+        lambda: run_compound_poisson(CP_SPEC, 10, 0, -1.0),
+        lambda: run_compound_poisson(CP_SPEC, 10, 0, math.nan),
+        lambda: run_compound_poisson(CP_SPEC, 10, 2 ** 64, 8.0),
+        lambda: run_compound_poisson(CP_SPEC, 10, -1, 8.0),
+        lambda: simulate_compound_poisson(CP_SPEC, 0, 8.0, path_index=-1),
+        lambda: run_compound_poisson(CP_SPEC, 10, 0, 8.0, grid=(1.0, math.nan)),
+        lambda: CompoundPoissonSpec(math.inf, ExponentialJumps(2.0), 1.0, 0.0),
+        lambda: ExponentialJumps(math.inf),
+        lambda: LatticeJumps((math.nan,), (1.0,)),
+    ], ids=["negative-n_paths", "negative-horizon", "nan-horizon",
+            "seed-2**64", "seed-minus-1", "replay-index-minus-1",
+            "nan-grid-time", "infinite-intensity", "infinite-rate",
+            "nan-lattice-value"])
+    def test_bad_inputs_raise_structural_error(self, call):
+        with pytest.raises(StructuralError):
+            call()
 
     def test_cp_path_exact_jump_bookkeeping(self):
         path = cp_to_path(
@@ -713,6 +820,25 @@ class TestCompoundPoisson:
         assert path.value(2.5) == 0.8
         rec = first_passage(path, Barrier.constant(1.0))
         assert rec.mode is Mode.NO_CROSSING
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_array_philox_matches_numpy(seed):
+    # blocks 1-4 of each lane, bitwise against numpy's Philox on its key
+    index = np.array([0, 1, 2 ** 48 - 1], dtype=np.uint64)
+    keys = (simulate._NS_CP << 48) | index
+    want = [np.random.Philox(key=simulate._stream_key(seed, simulate._NS_CP, i))
+            .random_raw(16).reshape(4, 4) for i in index.tolist()]
+    for k in range(1, 5):
+        got = simulate._philox_blocks(k, seed, keys)
+        for lane in range(3):
+            assert got[:, lane].tolist() == want[lane][k - 1].tolist()
+
+
+def test_uniforms_lie_strictly_inside_the_unit_interval():
+    raw = np.array([0, 1 << 12, 2 ** 64 - 1], dtype=np.uint64)
+    assert simulate._uniforms(raw).tolist() == [2.0 ** -53, 3 * 2.0 ** -53,
+                                                1.0 - 2.0 ** -53]
 
 
 def test_per_path_streams_are_stable_and_distinct():
