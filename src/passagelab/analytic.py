@@ -68,9 +68,10 @@ class HomogeneousBasis:
     """Log-space basis pair for the gauge-reduced operator at discount q.
 
     psi_q decays like exp(eta x) to the left; chi_q is the combination
-    annihilated by the Robin boundary operator at the barrier. wronskian(x)
-    is psi chi' - psi' chi, computed once at the barrier and propagated by
-    Abel's identity (it is a constant times exp(2 p(x))). boundary_psi is
+    annihilated by the Robin boundary operator at the barrier. The
+    Wronskian psi chi' - psi' chi is -exp(log_wronskian_scale + 2 p(x)):
+    its constant is computed once at the barrier, and Abel's identity
+    carries it to every x. boundary_psi is
     the Robin operator applied to psi_q at the barrier, and ratio is the
     coefficient of psi inside chi; log_d1_a is log D_{nu+1}(z(a)), which
     the Robin operator at the barrier needs.
@@ -112,10 +113,6 @@ class HomogeneousBasis:
 
     def chi_q(self, x):
         return np.exp(self.log_chi(x))
-
-    def wronskian(self, x):
-        xs = np.asarray(x, dtype=float)
-        return -np.exp(self.log_wronskian_scale + 2.0 * self.ctx.p(xs))
 
     def chi_prime(self, x) -> float:
         ctx = self.ctx

@@ -8,15 +8,15 @@ for nu <= 0 from its real integral representation
     D_nu(z) = exp(-z^2/4) / Gamma(-nu) * I(nu, z),
     I(nu, z) = int_0^inf t^(-nu-1) exp(-z t - t^2/2) dt      (nu < 0)
 
-and packages the gauge bookkeeping into WeberContext. The same quadrature
-takes an optional smooth positive weight w(t) on the integrand
-(log_pcf_d_weighted), which is how the undiscounted closed form folds its
-x-integral into the t-integral. log_pcf_d_batch broadcasts orders against
-arguments and runs every value as a row of one quadrature call, weighted
-or not; an order in (-1, 0) adds the two rows of its upward recurrence to
-that call. Each row refines its own panel count, and the panel rules are
-built once per count. LogPcfTable replaces
-that quadrature, on one fixed interval of z, by a certified piecewise
+and packages the gauge bookkeeping into WeberContext. log_pcf_d_batch
+broadcasts orders against arguments and runs every value as a row of one
+quadrature call; an order in (-1, 0), whose integrand is singular at
+t = 0, is a row like any other, with the singular term integrated
+exactly. The same quadrature takes an optional smooth positive weight w(t)
+on the integrand, which is how the undiscounted closed form folds its
+x-integral into the t-integral. Each row refines its own panel count, and
+the panel rules are built once per count. LogPcfTable replaces that
+quadrature, on one fixed interval of z, by a certified piecewise
 Chebyshev interpolant for callers that need D_nu at very many points.
 
 Everything is computed in log space first: the integrand is factored by its
@@ -56,7 +56,7 @@ _ROUND_ULPS = 4.0
 
 
 def _phi(c, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # log integrand, c = -nu - 1 >= 0; at c = 0, 0 log t - z t is bitwise -z t
+    # log integrand, c = -nu - 1 > -1; at c = 0, 0 log t - z t is bitwise -z t
     return c * np.log(t) - z * t - 0.5 * t * t
 
 
@@ -75,19 +75,23 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def _log_integral_batch(c: np.ndarray, z: np.ndarray, rtol: float,
+def _log_integral_batch(c: np.ndarray, c1: np.ndarray, z: np.ndarray,
+                        rtol: float,
                         log_weight: Callable[[np.ndarray], np.ndarray]
                         | None = None,
                         weighted: np.ndarray | None = None) -> np.ndarray:
     """log of int_0^inf t^c exp(-z t - t^2/2) w(t) dt, one value per row.
 
-    c >= 0 and z are 1-d arrays of one length; each (c, z) pair is a row.
+    c > -1, c1 = c + 1 (exact: rebuilt from c it loses digits as c nears
+    -1) and z are 1-d arrays of one length, the rows with c < 0 first.
     w = 1 unless log_weight, a function of t alone, gives log w; it then
-    applies to the rows where the boolean array `weighted` is True. w must
-    be positive, smooth and bounded, because the peak t* and the
-    substitutions are those of the unweighted integrand. Each row refines
-    its panel count until two levels agree to rtol and then leaves the
-    active set.
+    applies to the rows (c >= 0) where the boolean array `weighted` is
+    True. w must be positive, smooth and bounded, because the peak t* and
+    the substitutions are those of the unweighted integrand. A row with
+    c < 0 has t^c exp(-phimax) taken out of its head integrand and that
+    term's exact integral, t*^c1 / c1 exp(-phimax), added back. Each row
+    refines its panel count until two levels agree to rtol and then leaves
+    the active set.
     """
     if log_weight is None:
         weighted = np.zeros(len(z), dtype=bool)
@@ -98,9 +102,21 @@ def _log_integral_batch(c: np.ndarray, z: np.ndarray, rtol: float,
             out[wt] += log_weight(t[wt])
         return out
 
-    tstar = np.where(c > 0.0, 0.5 * (-z + np.sqrt(z * z + 4.0 * c)),
-                     np.maximum(-z, 0.0))
+    n_sing = int(np.count_nonzero(c < 0.0))
+    sing = slice(0, n_sing)
+    disc = np.maximum(z * z + 4.0 * c, 0.0)
+    tstar = np.where(c > 0.0, 0.5 * (-z + np.sqrt(disc)), np.maximum(-z, 0.0))
+    if n_sing:
+        # the interior maximum of _phi where it has one, else 1 / (1 + z+)
+        zs = z[sing]
+        tstar[sing] = np.where((zs < 0.0) & (disc[sing] > 0.0),
+                               0.5 * (-zs + np.sqrt(disc[sing])),
+                               1.0 / (1.0 + np.maximum(zs, 0.0)))
     phimax = np.where(tstar > 0.0, _phi(c, z, np.maximum(tstar, 1e-300)), 0.0)
+    if n_sing:
+        # the integral of t^c exp(-phimax) over the head [0, t*]
+        exact = np.exp(c1[sing] * np.log(tstar[sing]) - phimax[sing]) \
+            / c1[sing]
 
     def level_values(idx: np.ndarray, panels: int) -> np.ndarray:
         cc = c[idx][:, None]
@@ -117,7 +133,15 @@ def _log_integral_batch(c: np.ndarray, z: np.ndarray, rtol: float,
             f_h = np.exp(log_f(cc[mask], zz[mask], wt[mask],
                                np.maximum(t_h, 1e-300)) - pm[mask]) \
                 * 2.0 * ts[mask] * s
+            # the first k rows are singular (t* > 0 on each, so all masked):
+            # take t^c exp(-phimax) out of their integrand
+            k = np.searchsorted(idx, n_sing) if n_sing else 0
+            if k:
+                t_s = t_h[:k]
+                f_h[:k] *= -np.expm1(zz[:k] * t_s + 0.5 * t_s * t_s)
             head[mask] = f_h @ w
+            if k:
+                head[:k] += exact[idx[:k]]
         # tail: t = tstar - log u, dt = -du/u, so the 1/u becomes exp(t - tstar)
         t_t = ts - log_s
         f_t = np.exp(log_f(cc, zz, wt, t_t) - pm + (t_t - ts))
@@ -149,12 +173,11 @@ def log_pcf_d_batch(nu, z, rtol: float = TOL_PCF,
     """Elementwise log D_nu(z) for nu <= 0 (D_nu > 0 on this range).
 
     nu broadcasts against z, so one call takes values of several orders
-    and arguments, and all of them share one quadrature call. An order in
-    (-1, 0), whose integrand is singular at t = 0, is lifted by one upward
-    recurrence, D_nu = z D_(nu-1) - (nu - 1) D_(nu-2), whose two orders
-    <= -1 become rows of that same call. With log_weight, the values where the boolean
-    mask `weighted` (broadcast against z) is True get the weight w(t) on
-    their integrand, as log_pcf_d_weighted describes; they need nu <= -1.
+    and arguments, and all of them share one quadrature call, one row per
+    nu < 0. With log_weight, the values where the boolean mask `weighted`
+    (broadcast against z) is True get the smooth positive weight
+    w(t) = exp(log_weight(t)) on their integrand t^(-nu-1) exp(-z t - t^2/2);
+    they need nu <= -1.
     """
     nu, z, weighted = np.broadcast_arrays(
         np.asarray(nu, dtype=float), np.atleast_1d(np.asarray(z, dtype=float)),
@@ -165,43 +188,19 @@ def log_pcf_d_batch(nu, z, rtol: float = TOL_PCF,
     if (weighted & (nu > -1.0)).any():
         raise UnsupportedRegimeError(
             f"weighted pcf order must be <= -1, got {nu[weighted].max():g}")
-    lift = (nu > -1.0) & (nu < 0.0)
-    direct = ~lift & (nu != 0.0)
-    orders = np.concatenate([nu[direct], nu[lift] - 1.0, nu[lift] - 2.0])
-    args = np.concatenate([z[direct], z[lift], z[lift]])
-    rows_weighted = np.concatenate([weighted[direct], weighted[lift],
-                                    weighted[lift]])
+    # one row per nu < 0, those in (-1, 0) first as _log_integral_batch needs
+    rows = np.flatnonzero(nu != 0.0)
+    rows = rows[np.argsort(nu[rows] <= -1.0, kind="stable")]
+    orders, args = nu[rows], z[rows]
     lgam = np.array([math.lgamma(-v) for v in orders])
-    logs = -0.25 * args * args - lgam + _log_integral_batch(
-        -orders - 1.0, args, rtol, log_weight, rows_weighted)
     out = -0.25 * z * z
-    out[direct] = logs[:direct.sum()]
-    if lift.any():
-        l1, l2 = np.split(logs[direct.sum():], 2)
-        m = np.maximum(l1, l2)
-        val = z[lift] * np.exp(l1 - m) + (1.0 - nu[lift]) * np.exp(l2 - m)
-        if (val <= 0.0).any():
-            raise AccuracyError(
-                f"recurrence lost positivity at nu={nu[lift][val <= 0.0][0]:g}")
-        out[lift] = m + np.log(val)
+    out[rows] = -0.25 * args * args - lgam + _log_integral_batch(
+        -orders - 1.0, -orders, args, rtol, log_weight, weighted[rows])
     return out
 
 
 def log_pcf_d(nu: float, z: float, rtol: float = TOL_PCF) -> float:
     return float(log_pcf_d_batch(nu, z, rtol)[0])
-
-
-def log_pcf_d_weighted(nu: float, z: float,
-                       log_weight: Callable[[np.ndarray], np.ndarray],
-                       rtol: float = TOL_PCF) -> float:
-    """log of D_nu(z) with its integrand weighted by w(t), for nu <= -1:
-
-        exp(-z^2/4) / Gamma(-nu) * int_0^inf t^(-nu-1) exp(-z t - t^2/2) w(t) dt.
-
-    log_weight maps an array of t to log w(t); w must be positive, smooth
-    and bounded. w = 1 gives log D_nu(z).
-    """
-    return float(log_pcf_d_batch(nu, z, rtol, log_weight)[0])
 
 
 def pcf_d(nu: float, z: float) -> float:

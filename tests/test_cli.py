@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from passagelab import analytic, cli
+from passagelab import analytic, cli, weber
 from passagelab.acceptance import AcceptanceSettings
 from passagelab.analytic import VolterraGrid
 from passagelab.cli import _build_parser, main, resolve_config
@@ -166,6 +166,29 @@ class TestClosedForm:
                                "--report", str(report))
         assert code == 0
         assert report.read_bytes() == out.encode()
+
+    def test_order_just_below_zero_at_large_negative_z(self, capsys):
+        # nu + 1 = -1e-9 and z(a) = -39.95: the slope divides by
+        # D_{nu+1}(z(a)), whose order sits next to the t = 0 singularity
+        mp = pytest.importorskip("mpmath")
+        argv = ["closed-form", "--set", "model.alpha=0", "--set",
+                "model.beta=-0.5", "--set", "model.sigma=0.025", "--set",
+                "model.lam=5e-10"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        params = resolve_config(_build_parser().parse_args(argv)).model
+        ctx = weber.make_context(params, 0.0)
+        za = ctx.z(params.a)
+        with mp.workdps(30):
+            want = float(math.sqrt(2.0) * params.lam
+                         / (params.sigma * math.sqrt(ctx.b))
+                         * mp.pcfd(ctx.nu_q, za) / mp.pcfd(ctx.nu_q + 1.0, za))
+        (slope_line,) = [ln for ln in out.splitlines()
+                         if ln.startswith("# boundary_slope")]
+        slope = float(slope_line.split("=")[1])
+        assert abs(slope - want) <= 1e-10 * want
+        (row,) = table_rows(out)
+        assert 0.0 < float(row["g0"]) < 1.0
 
     def test_run_line_echoes_only_x_list(self, capsys):
         code, out, _ = run_cli(capsys, "closed-form",

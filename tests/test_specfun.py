@@ -14,7 +14,6 @@ from passagelab.weber import (
     LogPcfTable,
     log_pcf_d,
     log_pcf_d_batch,
-    log_pcf_d_weighted,
     make_context,
     pcf_d,
 )
@@ -54,7 +53,7 @@ def test_order_minus_one_matches_erfc_form():
 
 def test_three_term_recurrence():
     # D_{nu+1}(z) = z D_nu(z) - nu D_{nu-1}(z), exercised so that the
-    # middle order sits in (-1, 0) where evaluation takes its own branch.
+    # middle order sits in (-1, 0), where the integrand is singular at 0.
     rng = np.random.default_rng(7)
     for _ in range(12):
         nu = float(rng.uniform(-0.95, -0.05))
@@ -88,13 +87,14 @@ def test_positive_order_rejected():
     with pytest.raises(UnsupportedRegimeError):
         log_pcf_d_batch(1e-9, np.array([0.0]))
     with pytest.raises(UnsupportedRegimeError):
-        log_pcf_d_weighted(-0.5, 0.0, np.zeros_like)
+        log_pcf_d_batch(-0.5, 0.0, weber.TOL_PCF, np.zeros_like)
 
 
 @pytest.mark.parametrize("nu,z", [(-1.0, 0.0), (-3.0, 1.27), (-2.1, -2.07),
                                   (-1.02, -33.2)])
 def test_unit_weight_is_the_plain_integral(nu, z):
-    assert log_pcf_d_weighted(nu, z, np.zeros_like) == log_pcf_d(nu, z)
+    assert log_pcf_d_batch(nu, z, weber.TOL_PCF, np.zeros_like)[0] \
+        == log_pcf_d(nu, z)
 
 
 def test_batch_matches_scalar():
@@ -111,8 +111,8 @@ def test_batch_matches_scalar():
 
 
 def test_mixed_row_batch_matches_scalar_calls():
-    # one call over orders in (-1, 0) (two recurrence rows each), at -1 and
-    # below, with weighted and unweighted values of both signs of z
+    # one call over orders in (-1, 0), at -1 and below, with weighted and
+    # unweighted values of both signs of z
     def log_weight(t):
         return -np.log1p(t)
 
@@ -120,7 +120,7 @@ def test_mixed_row_batch_matches_scalar_calls():
     zs = np.array([1.3, -1.3, 0.7, -2.07, 2.07, -2.07, 1.3, -0.5, 3.0])
     weighted = np.array([0, 0, 0, 1, 0, 1, 1, 0, 0], dtype=bool)
     batch = log_pcf_d_batch(nu, zs, weber.TOL_PCF, log_weight, weighted)
-    scalars = [log_pcf_d_weighted(n, z, log_weight) if w else log_pcf_d(n, z)
+    scalars = [log_pcf_d_batch(n, z, weber.TOL_PCF, log_weight, w)[0]
                for n, z, w in zip(nu.tolist(), zs.tolist(), weighted)]
     assert batch == pytest.approx(scalars, rel=0.0, abs=1e-13)
     assert np.array_equal(
@@ -157,6 +157,32 @@ def test_against_mpmath_when_available():
         z = float(rng.uniform(-20.0, 20.0))
         want = float(mp.log(mp.pcfd(nu, z)))
         assert log_pcf_d(nu, z) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+# Orders in (-1, 0), whose integrand t^(-nu-1) exp(-z t - t^2/2) is singular
+# at t = 0, from next to 0 to next to -1, against arguments of both signs.
+GRID_NU = [-1e-12, -1e-9, -2e-6, -1e-3, -0.02, -0.1, -0.3, -0.5, -0.7, -0.9,
+           -0.98, -0.999, -0.999999]
+GRID_Z = [-40.0, -33.2, -20.0, -10.0, -5.0, -2.07, -1.0, -0.3, 0.0, 0.3, 1.0,
+          3.0, 5.0, 10.0, 20.0, 40.0]
+
+
+@pytest.fixture(scope="module")
+def mp_singular_grid():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        return np.array([[float(mp.log(mp.pcfd(nu, z))) for z in GRID_Z]
+                         for nu in GRID_NU])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+def test_singular_orders_match_mpmath(mp_singular_grid, rtol):
+    nu, z = np.meshgrid(GRID_NU, GRID_Z, indexing="ij")
+    got = log_pcf_d_batch(nu.ravel(), z.ravel(), rtol).reshape(nu.shape)
+    err = np.abs(got - mp_singular_grid)
+    assert np.max(err) <= 10.0 * rtol, (
+        f"worst at nu={nu.flat[np.argmax(err)]:g}, z={z.flat[np.argmax(err)]:g}")
 
 
 class TestContext:
