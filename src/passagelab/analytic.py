@@ -119,7 +119,7 @@ class HomogeneousBasis:
         z = ctx.z(x)
         A = ctx.p_prime(x) + 0.5 * ctx.z1 * z
         d0p, d1p, d0m, d1m = map(math.exp, log_pcf_d_batch(
-            [ctx.nu_q, ctx.nu_q + 1.0] * 2, [z, z, -z, -z]))
+            [ctx.nu_q, ctx.nu_q1] * 2, [z, z, -z, -z]))
         return math.exp(ctx.p(x)) * (
             A * (d0m + self.ratio * d0p)
             + ctx.z1 * d1m - self.ratio * ctx.z1 * d1p)
@@ -143,12 +143,12 @@ def robin_operator(params: ModelParams, value_at_a: float,
 def homogeneous_basis(params: ModelParams, q: float) -> HomogeneousBasis:
     ctx = make_context(params, q)
     za = ctx.z(params.a)
-    nu = ctx.nu_q
+    nu, nu1 = ctx.nu_q, ctx.nu_q1
     l_d1_pos, l_d1_neg, l_d0_pos, l_d0_neg = log_pcf_d_batch(
-        [nu + 1.0, nu + 1.0, nu, nu], [za, -za, za, -za]).tolist()
+        [nu1, nu1, nu, nu], [za, -za, za, -za]).tolist()
     if l_d1_pos - max(l_d1_pos, l_d1_neg) < _RESONANCE_FLOOR:
         raise ResonanceError(
-            f"barrier-side cylinder value vanishes at index {nu + 1.0!r}; "
+            f"barrier-side cylinder value vanishes at index {nu1!r}; "
             "the Robin combination is not well conditioned here")
     log_ratio = l_d1_neg - l_d1_pos
     # Wronskian at the barrier splits off exp(2p); both cross terms positive
@@ -169,7 +169,7 @@ def _log_w0_fn(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
     """xs -> log |w0(xs)| at q = 0, with the context and log D_{nu+1}(z(a))
     evaluated once; w0 itself is negative (the transform decreases in x)."""
     ctx = make_context(params, 0.0)
-    log_d1_a = log_pcf_d(ctx.nu_q + 1.0, ctx.z(params.a))
+    log_d1_a = log_pcf_d(ctx.nu_q1, ctx.z(params.a))
     return lambda xs: _log_w0_from(params, ctx, xs,
                                    log_pcf_d_batch(ctx.nu_q, ctx.z(xs)),
                                    log_d1_a)
@@ -190,7 +190,7 @@ def g0_prime(params: ModelParams, x: float) -> float:
         raise StructuralError(f"x = {x!r} must not exceed the barrier")
     ctx = make_context(params, 0.0)
     log_d, log_d1_a = log_pcf_d_batch(
-        [ctx.nu_q, ctx.nu_q + 1.0], [ctx.z(x), ctx.z(params.a)]).tolist()
+        [ctx.nu_q, ctx.nu_q1], [ctx.z(x), ctx.z(params.a)]).tolist()
     return -float(np.exp(_log_w0_from(params, ctx, float(x), log_d, log_d1_a)))
 
 
@@ -228,7 +228,7 @@ def g0(params: ModelParams, x: float) -> float:
         return np.log(-np.expm1(-u * dist) / u)
 
     za = ctx.z(a)
-    log_d, log_d1_a = log_pcf_d_batch([ctx.nu_q, ctx.nu_q + 1.0], [za, za],
+    log_d, log_d1_a = log_pcf_d_batch([ctx.nu_q, ctx.nu_q1], [za, za],
                                       _G0_RTOL, log_weight,
                                       [True, False]).tolist()
     return math.exp(_log_w0_from(params, ctx, a, log_d, log_d1_a))
@@ -470,7 +470,7 @@ class _WeberTables:
             self.neg = LogPcfTable(self.ctx.nu_q, -z_hi, -z_lo)
             fits.append(self.neg)
         else:
-            self.log_d1_a = log_pcf_d(self.ctx.nu_q + 1.0, z_lo)
+            self.log_d1_a = log_pcf_d(self.ctx.nu_q1, z_lo)
         self.rel_error = max(t.max_rel_error for t in fits)
         self.fit_nodes = sum(t.fit_nodes for t in fits)
 

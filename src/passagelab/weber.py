@@ -14,10 +14,15 @@ quadrature call; an order in (-1, 0), whose integrand is singular at
 t = 0, is a row like any other, with the singular term integrated
 exactly. The same quadrature takes an optional smooth positive weight w(t)
 on the integrand, which is how the undiscounted closed form folds its
-x-integral into the t-integral. Each row refines its own panel count, and
-the panel rules are built once per count. LogPcfTable replaces that
-quadrature, on one fixed interval of z, by a certified piecewise
-Chebyshev interpolant for callers that need D_nu at very many points.
+x-integral into the t-integral. Each row refines its own panel count. A
+pass puts the head and tail nodes of its panel levels into one array (the
+first pass takes 1 and 2 panels together), and rows go through it in
+blocks of bounded size, so a large batch does not grow the working set;
+every value is bitwise what separate per-level head and tail sums over
+all rows give. The panel rules are built once per count. LogPcfTable
+replaces that quadrature, on one fixed interval of z, by a certified
+piecewise Chebyshev interpolant for callers that need D_nu at very many
+points.
 
 Everything is computed in log space first: the integrand is factored by its
 peak value, so the returned log is accurate even where exp(p(x)) D_nu(z(x))
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -43,6 +49,11 @@ if TYPE_CHECKING:
 TOL_PCF = 1e-10
 _GL_N = 64
 _MAX_PANELS = 128
+# most nodes (head and tail rows times the columns of a pass) one block of
+# _log_integral_batch holds: 128 KiB per node array, so a block's arrays stay
+# in cache (of 2^13 ... 2^18, the fastest for g0_profile over 32768 values on
+# a 2-core x86-64 host)
+_BLOCK_NODES = 1 << 14
 
 # LogPcfTable: certified bound on the relative error in D, fit points per
 # piece and the most pieces a table may split into. Far out in z, direct
@@ -75,6 +86,33 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
+@lru_cache(maxsize=8)
+def _pass_rule(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The panel rules of `levels` side by side: nodes s, log s, and each
+    level's (column slice, weights); read-only, shared by every call."""
+    rules = [_panel_rule(panels) for panels in levels]
+    s = np.concatenate([rule[0] for rule in rules])
+    log_s = np.concatenate([rule[2] for rule in rules])
+    for arr in (s, log_s):
+        arr.flags.writeable = False
+    ends = np.cumsum([len(rule[0]) for rule in rules])
+    cols = tuple((slice(end - len(rule[0]), end), rule[1])
+                 for end, rule in zip(ends.tolist(), rules))
+    return s, log_s, cols
+
+
+def _row_blocks(n: int, n_blocks: int) -> list[slice]:
+    """About n_blocks slices covering range(n), each a multiple of 4 long
+    but the last, which is never shorter than 4 unless n is: the row groups
+    of the BLAS matrix-vector kernel, which sums a group of 4 rows, a
+    remainder of 2 or 3 rows and a matrix of 1 row in different orders."""
+    step = 4 * max(1, -(-n // (4 * n_blocks)))
+    bounds = list(range(0, n, step)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < 4:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _log_integral_batch(c: np.ndarray, c1: np.ndarray, z: np.ndarray,
                         rtol: float,
                         log_weight: Callable[[np.ndarray], np.ndarray]
@@ -92,16 +130,24 @@ def _log_integral_batch(c: np.ndarray, c1: np.ndarray, z: np.ndarray,
     term's exact integral, t*^c1 / c1 exp(-phimax), added back. Each row
     refines its panel count until two levels agree to rtol and then leaves
     the active set.
+
+    A pass evaluates one or more panel levels at once. One node array has
+    a head row (t = t* s^2) and a tail row (t = t* - log s) per integral,
+    with the nodes of every level of the pass side by side; one log, one
+    weight call and one exp cover them all, each node with the arithmetic
+    of a level on its own. Each level's head and tail sums are then two
+    matrix-vector products on its columns. The first pass takes levels 1
+    and 2 together, each deeper pass one level, up to _MAX_PANELS.
+
+    Rows go through a pass in blocks of about _BLOCK_NODES nodes, so the
+    working set does not grow with the batch. The head rows (those with
+    t* > 0) and the tail rows are split separately, in blocks of whole
+    BLAS row groups (see _row_blocks), so each sum has the bits of one
+    product over all rows on single-threaded BLAS. (A threaded product of
+    a very large batch, which the blocks avoid, may group rows otherwise.)
     """
-    if log_weight is None:
-        weighted = np.zeros(len(z), dtype=bool)
-
-    def log_f(cc, zz, wt, t):
-        out = _phi(cc, zz, t)
-        if wt.any():
-            out[wt] += log_weight(t[wt])
-        return out
-
+    if log_weight is None or not weighted.any():
+        weighted = None
     n_sing = int(np.count_nonzero(c < 0.0))
     sing = slice(0, n_sing)
     disc = np.maximum(z * z + 4.0 * c, 0.0)
@@ -113,47 +159,93 @@ def _log_integral_batch(c: np.ndarray, c1: np.ndarray, z: np.ndarray,
                                0.5 * (-zs + np.sqrt(disc[sing])),
                                1.0 / (1.0 + np.maximum(zs, 0.0)))
     phimax = np.where(tstar > 0.0, _phi(c, z, np.maximum(tstar, 1e-300)), 0.0)
+    exact = np.zeros(len(z))
     if n_sing:
         # the integral of t^c exp(-phimax) over the head [0, t*]
-        exact = np.exp(c1[sing] * np.log(tstar[sing]) - phimax[sing]) \
+        exact[sing] = np.exp(c1[sing] * np.log(tstar[sing]) - phimax[sing]) \
             / c1[sing]
+    # what a block gathers of each row: c, z, t*, phimax
+    row_data = np.array((c, z, tstar, phimax))
 
-    def level_values(idx: np.ndarray, panels: int) -> np.ndarray:
-        cc = c[idx][:, None]
-        zz = z[idx][:, None]
-        ts = tstar[idx][:, None]
-        pm = phimax[idx][:, None]
-        wt = weighted[idx]
-        s, w, log_s = _panel_rule(panels)
-        # head: t = tstar * s^2 (softens the t^c endpoint), dt = 2 tstar s ds
-        head = np.zeros(len(idx))
-        mask = (ts[:, 0] > 0.0)
-        if mask.any():
-            t_h = ts[mask] * s * s
-            f_h = np.exp(log_f(cc[mask], zz[mask], wt[mask],
-                               np.maximum(t_h, 1e-300)) - pm[mask]) \
-                * 2.0 * ts[mask] * s
-            # the first k rows are singular (t* > 0 on each, so all masked):
-            # take t^c exp(-phimax) out of their integrand
-            k = np.searchsorted(idx, n_sing) if n_sing else 0
-            if k:
-                t_s = t_h[:k]
-                f_h[:k] *= -np.expm1(zz[:k] * t_s + 0.5 * t_s * t_s)
-            head[mask] = f_h @ w
-            if k:
-                head[:k] += exact[idx[:k]]
-        # tail: t = tstar - log u, dt = -du/u, so the 1/u becomes exp(t - tstar)
-        t_t = ts - log_s
-        f_t = np.exp(log_f(cc, zz, wt, t_t) - pm + (t_t - ts))
-        return head + f_t @ w
+    def block_sums(heads: np.ndarray, tails: np.ndarray,
+                   levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        # the head sums of the rows `heads` and the tail sums of the rows
+        # `tails` at each level, from one node array: head rows, then tail rows
+        s, log_s, cols = _pass_rule(levels)
+        rows = np.concatenate((heads, tails))
+        m = len(heads)
+        cc, zz, ts, pm = row_data[:, rows, None]
+        t = np.empty((len(rows), len(s)))
+        # head: t = t* s^2 (softens the t^c endpoint), dt = 2 t* s ds
+        np.multiply(ts[:m], s, out=t[:m])
+        t[:m] *= s
+        np.maximum(t[:m], 1e-300, out=t[:m])
+        # tail: t = t* - log u, dt = -du/u, so the 1/u becomes exp(t - t*)
+        np.subtract(ts[m:], log_s, out=t[m:])
+        f = np.log(t)
+        f *= cc
+        tmp = zz * t
+        f -= tmp
+        np.multiply(t, 0.5, out=tmp)
+        tmp *= t
+        f -= tmp
+        if weighted is not None:
+            wt = weighted[rows]
+            if wt.any():
+                f[wt] += log_weight(t[wt])
+        f -= pm
+        np.subtract(t[m:], ts[m:], out=tmp[m:])
+        f[m:] += tmp[m:]
+        np.exp(f, out=f)
+        f[:m] *= 2.0 * ts[:m]
+        f[:m] *= s
+        # the singular rows come first: take t^c exp(-phimax) out of their
+        # head integrand
+        k = int(np.searchsorted(heads, n_sing)) if n_sing else 0
+        if k:
+            t_s = t[:k]
+            f[:k] *= -np.expm1(zz[:k] * t_s + 0.5 * t_s * t_s)
+        head = np.empty((len(cols), m))
+        tail = np.empty((len(cols), len(tails)))
+        for i, (sl, w) in enumerate(cols):
+            np.matmul(f[:m, sl], w, out=head[i])
+            np.matmul(f[m:, sl], w, out=tail[i])
+        return head, tail
+
+    def level_values(idx: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
+        # one row per level: each row of idx at that level's panel count
+        has_head = tstar[idx] > 0.0
+        all_heads = bool(has_head.all())
+        heads = idx if all_heads else idx[has_head]
+        n_blocks = -(-(len(heads) + len(idx)) * len(_pass_rule(levels)[0])
+                     // _BLOCK_NODES)
+        if n_blocks <= 1:
+            head, tail = block_sums(heads, idx, levels)
+        else:
+            head = np.empty((len(levels), len(heads)))
+            tail = np.empty((len(levels), len(idx)))
+            for hb, tb in zip_longest(_row_blocks(len(heads), n_blocks),
+                                      _row_blocks(len(idx), n_blocks),
+                                      fillvalue=slice(0, 0)):
+                head[:, hb], tail[:, tb] = block_sums(heads[hb], idx[tb],
+                                                      levels)
+        if not all_heads:
+            full = np.zeros((len(levels), len(idx)))
+            full[:, has_head] = head
+            head = full
+        k = int(np.searchsorted(idx, n_sing)) if n_sing else 0
+        if k:
+            head[:, :k] += exact[idx[:k]]
+        return head + tail
 
     n = len(z)
     out = np.empty(n)
     active = np.arange(n)
-    prev = level_values(active, 1)
+    first = level_values(active, (1, 2) if _MAX_PANELS >= 2 else (1,))
+    prev = first[0]
     panels = 2
     while panels <= _MAX_PANELS and len(active):
-        cur = level_values(active, panels)
+        cur = first[1] if panels == 2 else level_values(active, (panels,))[0]
         ok = np.abs(cur - prev) <= rtol * np.abs(cur)
         done = active[ok]
         out[done] = cur[ok]
@@ -179,23 +271,31 @@ def log_pcf_d_batch(nu, z, rtol: float = TOL_PCF,
     w(t) = exp(log_weight(t)) on their integrand t^(-nu-1) exp(-z t - t^2/2);
     they need nu <= -1.
     """
-    nu, z, weighted = np.broadcast_arrays(
-        np.asarray(nu, dtype=float), np.atleast_1d(np.asarray(z, dtype=float)),
-        np.asarray(weighted) & (log_weight is not None))
+    nu = np.asarray(nu, dtype=float)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if nu.shape != z.shape:
+        nu, z = np.broadcast_arrays(nu, z)
     if (nu > 0.0).any():
         raise UnsupportedRegimeError(
             f"pcf order must be <= 0, got {nu.max():g}")
-    if (weighted & (nu > -1.0)).any():
-        raise UnsupportedRegimeError(
-            f"weighted pcf order must be <= -1, got {nu[weighted].max():g}")
+    if log_weight is None:
+        weighted = np.zeros(z.shape, dtype=bool)
+    else:
+        weighted = np.broadcast_to(np.asarray(weighted, dtype=bool), z.shape)
+        if (weighted & (nu > -1.0)).any():
+            raise UnsupportedRegimeError(
+                f"weighted pcf order must be <= -1, got "
+                f"{nu[weighted].max():g}")
     # one row per nu < 0, those in (-1, 0) first as _log_integral_batch needs
-    rows = np.flatnonzero(nu != 0.0)
-    rows = rows[np.argsort(nu[rows] <= -1.0, kind="stable")]
-    orders, args = nu[rows], z[rows]
-    lgam = np.array([math.lgamma(-v) for v in orders])
+    orders = nu.tolist()
+    rows = [i for i, v in enumerate(orders) if v != 0.0 and not v <= -1.0]
+    rows += [i for i, v in enumerate(orders) if v <= -1.0]
+    lgam = np.array([math.lgamma(-orders[i]) for i in rows])
+    rows = np.array(rows, dtype=np.intp)
     out = -0.25 * z * z
-    out[rows] = -0.25 * args * args - lgam + _log_integral_batch(
-        -orders - 1.0, -orders, args, rtol, log_weight, weighted[rows])
+    nu = nu[rows]
+    out[rows] = out[rows] - lgam + _log_integral_batch(
+        -nu - 1.0, -nu, z[rows], rtol, log_weight, weighted[rows])
     return out
 
 
@@ -323,12 +423,16 @@ class WeberContext:
 
     p(x) = p_lin x + p_quad x^2 is the gauge exponent, z(x) = z0 + z1 x the
     affine argument map, b = -beta the mean-reversion rate and nu_q the
-    (always < -1) order of the Weber functions involved.
+    (always < -1) order of the Weber functions involved. nu_q1 is nu_q + 1,
+    formed as -(lam + q) / b: taken as nu_q + 1.0 it keeps only the digits
+    that survive the cancellation, which matters where D_{nu_q + 1} is
+    nearly proportional to its order (lam + q much smaller than b).
     """
 
     b: float
     q: float
     nu_q: float
+    nu_q1: float
     p_lin: float
     p_quad: float
     z0: float
@@ -353,11 +457,12 @@ def make_context(params: "ModelParams", q: float) -> WeberContext:
         raise ValueError(f"discount rate must be >= 0, got {q:g}")
     b = -params.beta
     sig2 = params.sigma * params.sigma
-    nu_q = -1.0 - (params.lam + q) / b
+    rate = (params.lam + q) / b
     return WeberContext(
         b=b,
         q=q,
-        nu_q=nu_q,
+        nu_q=-1.0 - rate,
+        nu_q1=-rate,
         p_lin=0.5 * params.eta - params.alpha / sig2,
         p_quad=0.5 * b / sig2,
         z0=math.sqrt(2.0) * (params.alpha + 0.5 * params.eta * sig2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,34 @@ class TestClosedForms:
         fd = g0(REF, REF.a - h) / h
         assert slope > 0.0
         assert fd == pytest.approx(slope, rel=1e-4)
+
+    def test_profile_working_set_is_bounded(self):
+        # the quadrature runs its rows in bounded blocks; over 32768
+        # cylinder values the unblocked levels peaked at 166 MiB
+        grid = np.linspace(-6.25, REF.a, 16385)
+        tracemalloc.start()
+        try:
+            g0_profile(REF, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_closed_forms_warn_nowhere_on_the_benchmark_box(self):
+        # seeded draws from the box of the closed_form benchmark workload
+        rng = np.random.default_rng(2020)
+        for _ in range(50):
+            params = ModelParams(
+                alpha=rng.uniform(0.0, 0.2), beta=rng.uniform(-1.0, -0.25),
+                sigma=rng.uniform(0.2, 0.5), lam=rng.uniform(0.5, 1.5),
+                eta=rng.uniform(1.5, 3.0), a=1.0, x=rng.uniform(-1.0, 0.9))
+            q = rng.uniform(0.0, 0.5)
+            assert 0.0 < g0(params, params.x) < 1.0
+            assert 0.0 < creeping_prob(params, params.x) < 1.0
+            assert boundary_slope(params) > 0.0
+            basis = homogeneous_basis(params, q)
+            assert math.isfinite(basis.chi_prime(params.x))
 
     def test_stalled_quadrature_raises(self, monkeypatch):
         monkeypatch.setattr(weber, "_MAX_PANELS", 1)

@@ -180,15 +180,27 @@ class TestClosedForm:
         ctx = weber.make_context(params, 0.0)
         za = ctx.z(params.a)
         with mp.workdps(30):
+            # the model's orders, nu + 1 = -lam/b exactly
+            nu1 = -mp.mpf(params.lam) / ctx.b
             want = float(math.sqrt(2.0) * params.lam
                          / (params.sigma * math.sqrt(ctx.b))
-                         * mp.pcfd(ctx.nu_q, za) / mp.pcfd(ctx.nu_q + 1.0, za))
+                         * mp.pcfd(nu1 - 1, za) / mp.pcfd(nu1, za))
         (slope_line,) = [ln for ln in out.splitlines()
                          if ln.startswith("# boundary_slope")]
         slope = float(slope_line.split("=")[1])
         assert abs(slope - want) <= 1e-10 * want
         (row,) = table_rows(out)
         assert 0.0 < float(row["g0"]) < 1.0
+
+    def test_order_above_minus_one_keeps_its_digits(self, capsys):
+        # nu + 1 = -lam/b = -1e-9 is formed directly: as nu + 1.0 it kept
+        # only the digits left after cancelling 1, 8.3e-8 off, and the
+        # slope, nearly proportional to 1/(nu + 1), read 1596.99735765
+        code, out, _ = run_cli(capsys, "closed-form", "--set", "model.alpha=0",
+                               "--set", "model.beta=-0.5", "--set",
+                               "model.sigma=0.025", "--set", "model.lam=5e-10")
+        assert code == 0
+        assert "# boundary_slope = 1596.99748979\n" in out
 
     def test_run_line_echoes_only_x_list(self, capsys):
         code, out, _ = run_cli(capsys, "closed-form",

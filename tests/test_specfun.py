@@ -134,9 +134,63 @@ def test_mixed_row_batch_matches_scalar_calls():
 
 def test_cached_rules_are_read_only():
     # the node caches hand the same arrays to every caller
-    for arr in (*_gl_rule(64), *weber._panel_rule(4)):
+    for arr in (*_gl_rule(64), *weber._panel_rule(4),
+                *weber._pass_rule((1, 2))[:2]):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_first_pass_honours_the_panel_cap(monkeypatch):
+    # levels 1 and 2 run as one pass; a cap of 2 panels must still stop a
+    # row that needs 4 (nu = -3, z = -60) and leave the rows that converge
+    # at 2 panels with the values they have under the default cap
+    nu, zs = [-0.5, -3.0, -1.5], [-5.0, 5.0, 20.0]
+    want = log_pcf_d_batch(nu, zs)
+    assert np.isfinite(log_pcf_d(-3.0, -60.0))
+    monkeypatch.setattr(weber, "_MAX_PANELS", 2)
+    assert np.array_equal(log_pcf_d_batch(nu, zs), want)
+    with pytest.raises(AccuracyError, match="stalled .* 1 argument.*z=-60"):
+        log_pcf_d_batch(nu + [-3.0], zs + [-60.0])
+
+
+def test_row_blocks_hold_whole_row_groups():
+    # BLAS sums a group of 4 rows, a remainder of 2 or 3 rows and a lone
+    # row in different orders, so a block split keeps every row in the
+    # kind of group it has in one product over all rows
+    for n in range(40):
+        for n_blocks in range(1, 12):
+            blocks = weber._row_blocks(n, n_blocks)
+            assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+            assert all((b.stop - b.start) % 4 == 0 for b in blocks[:-1])
+            if n >= 4:
+                assert blocks[-1].stop - blocks[-1].start >= 4
+                assert len(blocks) <= n_blocks
+
+
+def test_row_blocks_leave_every_value_bitwise(monkeypatch):
+    # a batch run in many small blocks gives the bits of one block: blocks
+    # hold whole row groups of the BLAS product; the batch mixes singular
+    # rows, weighted rows, t* = 0 rows (nu = -1, z >= 0) and rows that
+    # refine past the first pass
+    rng = np.random.default_rng(11)
+    n = 301
+    nu = np.where(rng.random(n) < 0.3, -rng.uniform(0.01, 0.99, n),
+                  -1.0 - rng.exponential(2.0, n))
+    nu[rng.random(n) < 0.1] = -1.0
+    zs = rng.uniform(-60.0, 60.0, n)
+    weighted = (nu <= -1.0) & (rng.random(n) < 0.5)
+
+    def log_weight(t):
+        u = 2.0 + 3.0 * t
+        return np.log(-np.expm1(-u) / u)
+
+    blocked = log_pcf_d_batch(nu, zs, 1e-11, log_weight, weighted)
+    monkeypatch.setattr(weber, "_BLOCK_NODES", 1 << 40)
+    assert np.array_equal(
+        log_pcf_d_batch(nu, zs, 1e-11, log_weight, weighted), blocked)
+    monkeypatch.setattr(weber, "_BLOCK_NODES", 1 << 9)
+    assert np.array_equal(
+        log_pcf_d_batch(nu, zs, 1e-11, log_weight, weighted), blocked)
 
 
 def test_large_argument_asymptotics():
@@ -207,6 +261,15 @@ class TestContext:
         for q in (0.0, 0.1, 1.0):
             ctx = make_context(REF, q)
             assert ctx.nu_q == pytest.approx(-1.0 - (REF.lam + q) / 0.5)
+
+    def test_order_plus_one_is_formed_directly(self):
+        # nu_q + 1 = -(lam + q)/b, not nu_q + 1.0, which cancels digits
+        params = ModelParams(alpha=0.0, beta=-0.5, sigma=0.025, lam=5e-10,
+                             eta=2.0, a=1.0, x=0.0)
+        ctx = make_context(params, 0.0)
+        assert ctx.nu_q1 == -1e-9
+        assert ctx.nu_q + 1.0 != ctx.nu_q1
+        assert make_context(REF, 0.2).nu_q1 == -(REF.lam + 0.2) / 0.5
 
     def test_gauge_exponent_derivative(self):
         ctx = make_context(REF, 0.2)
