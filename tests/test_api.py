@@ -10,6 +10,7 @@ import inspect
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -137,3 +138,61 @@ def test_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# The path, compound Poisson and diffusion routes in a fresh process, then
+# one call of each kind that needs SciPy (quadrature, KS p-value, solver).
+_SCIPY_FREE_ROUTES = textwrap.dedent("""
+    import contextlib, io, math, sys
+    import numpy as np
+    import passagelab, passagelab.mc, passagelab.acceptance, passagelab.cli
+    from passagelab import analytic, mc
+    from passagelab.acceptance import (
+        AcceptanceSettings, random_compliant_path, random_violating_path)
+    from passagelab.paths import (
+        Barrier, announcing_sequence, check_no_premature_contact,
+        first_passage)
+    from passagelab.simulate import (
+        CompoundPoissonSpec, ExponentialJumps, LatticeJumps, SimConfig,
+        run_compound_poisson, run_paths, simulate_compound_poisson)
+
+    for name in ("touch_and_jump", "premature_contact"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert passagelab.cli.main(["classify", "--corpus", name]) == 0
+    rng = np.random.default_rng(3)
+    zero = Barrier.constant(0.0)
+    for path in (random_compliant_path(rng), random_violating_path(rng)):
+        first_passage(path, zero)
+        check_no_premature_contact(path, zero)
+        announcing_sequence(path, zero)
+    times = (1.0, 4.0, 8.0)
+    for law in (LatticeJumps((1.0, 2.0), (0.5, 0.5)), ExponentialJumps(2.0)):
+        spec = CompoundPoissonSpec(1.0, law, 1.0, 0.0)
+        cp = run_compound_poisson(spec, 200, 5, 8.0, grid=times)
+        mc.estimate_cp_mode_probs(spec, 200, 5, 8.0, result=cp)
+        mc.compensator_martingale_check(spec, times, 200, 5, 8.0, result=cp)
+    simulate_compound_poisson(spec, 5, 8.0, path_index=3)
+    params = AcceptanceSettings().params
+    cfg = SimConfig(horizon=20.0, step=1e-2, seed=11, n_paths=64)
+    res = run_paths(params, cfg, q_list=(0.0, 0.05), workers=1)
+    mc.estimate_gq_indicator(params, cfg, 0.05, res)
+    mc.estimate_gq_compensator(params, cfg, 0.05, res)
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+    sol = analytic.solve_wq(params, 0.05, analytic.VolterraGrid(n_cells=64))
+    values = (analytic.g0(params, 0.0),
+              mc.overshoot_law_test(params, cfg, res, min_samples=1).p_value,
+              analytic.gq_from_solution(sol, 0.0))
+    print(all(math.isfinite(v) for v in values))
+""")
+
+
+def test_path_and_simulation_routes_run_without_scipy():
+    # SciPy loads where it is called: the quadrature rule, the KS p-value
+    # and the Volterra solver, none of which these routes need
+    src = os.path.dirname(os.path.dirname(passagelab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_ROUTES], env=env,
+                         check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    assert out == ["[]", "True"]

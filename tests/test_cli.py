@@ -6,7 +6,10 @@ where the overshoot criterion honestly fails and the exit code must be 3.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,6 +137,16 @@ class TestClassify:
         monkeypatch.setenv("PASSAGELAB_WORKERS", "0")
         code, _, _ = run_cli(capsys, "classify", "--corpus", "touch_and_jump")
         assert code == 0
+
+    def test_python_dash_m_runs_main(self, capsys):
+        package = Path(cli.__file__).parent
+        fname = str(package / "corpus" / "touch_and_jump.path")
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+        proc = subprocess.run([sys.executable, "-m", "passagelab", "classify",
+                               fname], env=env, capture_output=True, text=True)
+        code, out, _ = run_cli(capsys, "classify", fname)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
 
 
 class TestClosedForm:

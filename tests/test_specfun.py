@@ -132,6 +132,21 @@ def test_mixed_row_batch_matches_scalar_calls():
             assert math.exp(batch[k]) == pytest.approx(want, rel=1e-9)
 
 
+def test_batch_takes_the_broadcast_shape():
+    # the rows run on the raveled pair, so an n-d call is the 1-d call
+    # reshaped, bit for bit
+    z = np.array([[-3.0, -0.4, 0.0], [1.7, 12.0, 1.0]])
+    got = log_pcf_d_batch(-2.0, z)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got.ravel(), log_pcf_d_batch(-2.0, z.ravel()))
+    nu = np.array([[-0.4], [-2.7]])
+    zs = np.array([-1.3, 0.7, 2.07])
+    got = log_pcf_d_batch(nu, zs)
+    assert got.shape == (2, 3)
+    flat_nu, flat_z = (a.ravel() for a in np.broadcast_arrays(nu, zs))
+    assert np.array_equal(got.ravel(), log_pcf_d_batch(flat_nu, flat_z))
+
+
 def test_cached_rules_are_read_only():
     # the node caches hand the same arrays to every caller
     for arr in (*_gl_rule(64), *weber._panel_rule(4),
