@@ -16,7 +16,6 @@ from .errors import (
     ConvergenceError,
     InconsistencyError,
     NumericalError,
-    ResonanceError,
     StructuralError,
     UnderSampleError,
     UnsupportedRegimeError,

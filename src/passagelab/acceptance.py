@@ -474,10 +474,10 @@ def _crit_10(shared: _Shared) -> tuple[bool, Details]:
     lat_spec = CompoundPoissonSpec(intensity=1.0,
                                    jump_law=LatticeJumps((1.0, 2.0), (0.5, 0.5)),
                                    barrier_level=1.0, start=0.0)
-    lat = run_compound_poisson(lat_spec, s.cp_n_paths,
-                               _derive_seed(s.seed, 3), s.cp_horizon)
-    lat_probs = mc.estimate_cp_mode_probs(lat_spec, s.cp_n_paths, 0, 0.0,
-                                          result=lat)
+    lat_seed = _derive_seed(s.seed, 3)
+    lat = run_compound_poisson(lat_spec, s.cp_n_paths, lat_seed, s.cp_horizon)
+    lat_probs = mc.estimate_cp_mode_probs(lat_spec, s.cp_n_paths, lat_seed,
+                                          s.cp_horizon, result=lat)
     hit = lat_probs[Mode.JUMP_HIT]
     lat_ok = hit.within(0.5)
 
@@ -485,12 +485,12 @@ def _crit_10(shared: _Shared) -> tuple[bool, Details]:
                                    jump_law=ExponentialJumps(2.0),
                                    barrier_level=1.0, start=0.0)
     grid = (0.5, 1.0, 2.0, 4.0, 8.0)
-    exp_res = run_compound_poisson(exp_spec, s.cp_n_paths,
-                                   _derive_seed(s.seed, 4), s.cp_horizon,
-                                   grid=grid)
+    exp_seed = _derive_seed(s.seed, 4)
+    exp_res = run_compound_poisson(exp_spec, s.cp_n_paths, exp_seed,
+                                   s.cp_horizon, grid=grid)
     exact_hits = int((exp_res.modes == CODE_OF[Mode.JUMP_HIT]).sum())
-    check = mc.compensator_martingale_check(exp_spec, grid, s.cp_n_paths, 0,
-                                            horizon=s.cp_horizon,
+    check = mc.compensator_martingale_check(exp_spec, grid, s.cp_n_paths,
+                                            exp_seed, horizon=s.cp_horizon,
                                             result=exp_res)
     mart_ok = check.worst_sigma <= 3.0
     passed = lat_ok and exact_hits == 0 and mart_ok

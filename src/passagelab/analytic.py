@@ -38,8 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (AccuracyError, ConvergenceError, ResonanceError,
-                     StructuralError)
+from .errors import AccuracyError, ConvergenceError, StructuralError
 from .quad import composite_gl, fd_derivative
 from .simulate import ModelParams
 from .weber import (
@@ -51,7 +50,6 @@ from .weber import (
 )
 
 _LOG_EPS = math.log(1e-12)
-_RESONANCE_FLOOR = math.log(1e-10)
 # Largest truncation_error solve_wq returns: above the coarsest grids in use
 # at the reference model (1.7e-7 at n_cells=64, q = 0.05; at most 3.3e-6 at
 # n_cells=16, q <= 0.5), below first cuts too shallow (1.3e-5 up to 0.19).
@@ -68,16 +66,18 @@ class HomogeneousBasis:
     annihilated by the Robin boundary operator at the barrier. The
     Wronskian psi chi' - psi' chi is -exp(log_wronskian_scale + 2 p(x)):
     its constant is computed once at the barrier, and Abel's identity
-    carries it to every x. boundary_psi is
-    the Robin operator applied to psi_q at the barrier, and ratio is the
-    coefficient of psi inside chi; log_d1_a is log D_{nu+1}(z(a)), which
-    the Robin operator at the barrier needs.
+    carries it to every x. log_ratio is the log of psi's coefficient in
+    chi, D_{nu+1}(-z(a)) / D_{nu+1}(z(a)): both values are positive for
+    q >= 0, as nu + 1 < 0, but the ratio passes exp(709) near z(a) = 37.
+    log_d1_a is log D_{nu+1}(z(a)). boundary_psi, the Robin operator
+    applied to psi_q at the barrier, falls like exp(-z(a)^2 / 4) (5.3e-317
+    at z(a) = 50), so it cannot scale chi's Robin residual at large z(a);
+    |0.5 sigma^2 chi'(a)| + |(alpha + beta a) chi(a)| can.
     """
 
     params: ModelParams
     q: float
     ctx: WeberContext
-    ratio: float
     log_ratio: float
     log_wronskian_scale: float  # log(-W(x) e^{-2p(x)}), W itself is negative
     boundary_psi: float
@@ -112,14 +112,18 @@ class HomogeneousBasis:
         return np.exp(self.log_chi(x))
 
     def chi_prime(self, x) -> float:
+        """d chi_q / dx; its four terms are scaled by the largest, so it
+        overflows only where chi'(x) itself leaves double range."""
         ctx = self.ctx
         z = ctx.z(x)
         A = ctx.p_prime(x) + 0.5 * ctx.z1 * z
-        d0p, d1p, d0m, d1m = map(math.exp, log_pcf_d_batch(
-            [ctx.nu_q, ctx.nu_q1] * 2, [z, z, -z, -z]))
-        return math.exp(ctx.p(x)) * (
-            A * (d0m + self.ratio * d0p)
-            + ctx.z1 * d1m - self.ratio * ctx.z1 * d1p)
+        l0p, l1p, l0m, l1m = log_pcf_d_batch(
+            [ctx.nu_q, ctx.nu_q1] * 2, [z, z, -z, -z]).tolist()
+        logs = (l0m, self.log_ratio + l0p, l1m, self.log_ratio + l1p)
+        top = max(logs)
+        t0m, t0p, t1m, t1p = (math.exp(v - top) for v in logs)
+        return math.exp(ctx.p(x) + top) * (
+            A * (t0m + t0p) + ctx.z1 * (t1m - t1p))
 
 
 def _psi_prime_from(ctx: WeberContext, x: float, log_d0: float,
@@ -143,10 +147,6 @@ def homogeneous_basis(params: ModelParams, q: float) -> HomogeneousBasis:
     nu, nu1 = ctx.nu_q, ctx.nu_q1
     l_d1_pos, l_d1_neg, l_d0_pos, l_d0_neg = log_pcf_d_batch(
         [nu1, nu1, nu, nu], [za, -za, za, -za]).tolist()
-    if l_d1_pos - max(l_d1_pos, l_d1_neg) < _RESONANCE_FLOOR:
-        raise ResonanceError(
-            f"barrier-side cylinder value vanishes at index {nu1!r}; "
-            "the Robin combination is not well conditioned here")
     log_ratio = l_d1_neg - l_d1_pos
     # Wronskian at the barrier splits off exp(2p); both cross terms positive
     log_scale = math.log(-ctx.z1) + np.logaddexp(
@@ -154,9 +154,8 @@ def homogeneous_basis(params: ModelParams, q: float) -> HomogeneousBasis:
     boundary_psi = robin_operator(
         params, float(np.exp(ctx.p(params.a) + l_d0_pos)),
         _psi_prime_from(ctx, params.a, l_d0_pos, l_d1_pos))
-    return HomogeneousBasis(params, float(q), ctx, math.exp(log_ratio),
-                            float(log_ratio), float(log_scale), boundary_psi,
-                            l_d1_pos)
+    return HomogeneousBasis(params, float(q), ctx, float(log_ratio),
+                            float(log_scale), boundary_psi, l_d1_pos)
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ from .paths import (
 from .simulate import ModelParams, SimConfig, run_paths
 from . import mc
 
-_ENV_WORKERS = "PASSAGELAB_WORKERS"
-
 
 def _ini(value) -> str:
     """A default value as the config file spells it."""
@@ -99,7 +97,7 @@ class RunConfig:
     solver: analytic.VolterraGrid
     q_list: tuple[float, ...]
     x_list: tuple[float, ...]
-    workers: int | None
+    workers: int
     verify_settings: AcceptanceSettings
 
 
@@ -164,15 +162,15 @@ def _read_config(config_path: str | None, overrides: list[str]
     return cp
 
 
-def _resolve_workers(raw: str, flag: int | None) -> int | None:
+def _resolve_workers(raw: str, flag: int | None) -> int:
     if flag is not None:
         workers = flag
-    elif raw.strip().lower() == "auto":
-        env = os.environ.get(_ENV_WORKERS, "").strip()
-        workers = _typed("run", "workers", env, int) if env else None
+    elif raw.strip().lower() == "auto":   # the CPUs this process may use
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     else:
         workers = _typed("run", "workers", raw, int)
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise StructuralError(f"workers must be at least 1, got {workers}")
     return workers
 
@@ -364,8 +362,8 @@ def _build_parser() -> _Parser:
                         metavar="SECTION.KEY=VALUE",
                         help="override one config value (repeatable)")
     common.add_argument("--workers", type=int, metavar="N",
-                        help=f"worker processes (default: ${_ENV_WORKERS} "
-                             "or serial)")
+                        help="worker processes (default: the CPUs this "
+                             "process may use)")
     common.add_argument("--seed", type=int, metavar="N",
                         help="shortcut for --set sim.seed=N")
 

@@ -2,7 +2,10 @@
 
 StructuralError covers malformed inputs (bad path files, inconsistent
 records); the CLI maps it to the usage exit code. NumericalError and its
-children cover failures of the numerics themselves and map to a separate
+children cover failures of the numerics themselves: a tolerance not
+reached (AccuracyError), an iteration cap hit (ConvergenceError),
+parameters outside a method's regime (UnsupportedRegimeError) and too
+few samples for a statistic (UnderSampleError). They map to a separate
 exit code so callers can tell the two apart.
 """
 
@@ -21,10 +24,6 @@ class NumericalError(RuntimeError):
 
 class AccuracyError(NumericalError):
     """A quadrature or root-finding loop could not reach its tolerance."""
-
-
-class ResonanceError(NumericalError):
-    """A denominator in a closed form is numerically indistinguishable from 0."""
 
 
 class ConvergenceError(NumericalError):

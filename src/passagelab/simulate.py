@@ -796,7 +796,8 @@ def run_paths(params: ModelParams, config: SimConfig,
     Every path draws from its own stream keyed by (seed, index), and the
     output arrays are ordered by index, so the result is bitwise identical
     for any worker count, block size or group width. `workers` of None
-    runs serially; a count below 1 raises StructuralError.
+    runs serially, a count below 1 raises StructuralError, and at most
+    one worker runs per block of _BLOCK paths.
     """
     nw = 1 if workers is None else int(workers)
     if nw < 1:
@@ -804,8 +805,9 @@ def run_paths(params: ModelParams, config: SimConfig,
     n = config.n_paths
     q_tuple = tuple(float(q) for q in q_list)
     tasks = [(s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
+    nw = min(nw, len(tasks))
     results = []
-    if nw == 1 or len(tasks) == 1:
+    if nw == 1:
         for s, c in tasks:
             results.append(_run_block(params, config, q_tuple, s, c))
     else:

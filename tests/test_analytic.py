@@ -29,8 +29,7 @@ from passagelab.analytic import (
     solve_wq,
 )
 from passagelab.errors import (AccuracyError, ConvergenceError,
-                               NumericalError, ResonanceError,
-                               StructuralError)
+                               NumericalError, StructuralError)
 from passagelab.simulate import ModelParams, SimConfig
 from passagelab.weber import (
     TABLE_RTOL,
@@ -627,11 +626,11 @@ def test_solve_is_accurate_or_raises(params, q):
     _assert_scalar_scan(params, q)
     # q = 0 is judged by criterion 4's rule on criterion 4's grid; it costs
     # no Krylov iterations. The linear solve always converges, so only the
-    # domain (AccuracyError) and the basis (ResonanceError) may fail.
+    # domain (AccuracyError) may fail.
     grid = VolterraGrid() if q == 0.0 else VolterraGrid(n_cells=1024)
     try:
         sol = solve_wq(params, q, grid)
-    except (AccuracyError, ResonanceError):
+    except AccuracyError:
         return
     assert sol.grid[0] <= params.x
     assert sol.truncation_error <= analytic.TRUNCATION_TOL
@@ -648,36 +647,76 @@ def test_solve_is_accurate_or_raises(params, q):
 
 # G_q(x) on n_cells=1024 for 40 draws of the widened box, in the order
 # default_rng(5) draws them (alpha, beta, sigma, lam, eta, q for each
-# model); None marks a ResonanceError. Picard iteration does not converge
-# on draws 9, 16, 22, 23 and 34; on the other 33 it agrees to 1.6e-11.
+# model). Picard iteration does not converge on draws 9, 16, 22, 23 and 34;
+# on the other 33 it agrees to 1.6e-11. Draws 2 and 15 have z(a) = 3.0 and
+# 6.4, where D_{nu+1}(z(a)) is e^-26 and e^-36 of D_{nu+1}(-z(a)); their
+# values agree with 4096 cells to 2.0e-8 and 2.4e-9.
 _BOX = ((-0.3, 0.3), (-2.0, -0.1), (0.05, 1.0), (0.2, 3.0), (0.5, 5.0),
         (0.0, 0.5))
 _BOX_GQ = (
-    0.587973702035, 0.706399062647, None, 0.354376036546, 0.665764234849,
-    0.667947804338, 0.491936107627, 0.349338549816, 0.518143521989,
-    0.097527705844, 0.708566038244, 0.160339051558, 0.189464674748,
-    0.466030616131, 0.747769132951, None, 0.035213459523, 0.680430290023,
-    0.657604602482, 0.199384208208, 0.172735955795, 0.333275900735,
-    0.085309944553, 0.195783677171, 0.587960110160, 0.442720548274,
-    0.799533635654, 0.257145646583, 0.526303893837, 0.694059121135,
-    0.115186570288, 0.305540401279, 0.097052560506, 0.858669945346,
-    0.134150304853, 0.669281059927, 0.670333930516, 0.175431527085,
-    0.774500477970, 0.865745688986)
+    0.587973702035, 0.706399062647, 0.339089616743, 0.354376036546,
+    0.665764234849, 0.667947804338, 0.491936107627, 0.349338549816,
+    0.518143521989, 0.097527705844, 0.708566038244, 0.160339051558,
+    0.189464674748, 0.466030616131, 0.747769132951, 0.073109247063,
+    0.035213459523, 0.680430290023, 0.657604602482, 0.199384208208,
+    0.172735955795, 0.333275900735, 0.085309944553, 0.195783677171,
+    0.587960110160, 0.442720548274, 0.799533635654, 0.257145646583,
+    0.526303893837, 0.694059121135, 0.115186570288, 0.305540401279,
+    0.097052560506, 0.858669945346, 0.134150304853, 0.669281059927,
+    0.670333930516, 0.175431527085, 0.774500477970, 0.865745688986)
 
 
-def test_box_sweep_solves_every_nonresonant_draw():
+def _box_draws() -> list[tuple[ModelParams, float]]:
     rng = np.random.default_rng(5)
-    for want in _BOX_GQ:
+    draws = []
+    for _ in _BOX_GQ:
         alpha, beta, sigma, lam, eta, q = (rng.uniform(lo, hi)
                                            for lo, hi in _BOX)
-        params = ModelParams(alpha=alpha, beta=beta, sigma=sigma, lam=lam,
-                             eta=eta, a=1.0, x=0.0)
-        if want is None:
-            with pytest.raises(ResonanceError):
-                solve_wq(params, q, VolterraGrid(n_cells=1024))
-            continue
+        draws.append((ModelParams(alpha=alpha, beta=beta, sigma=sigma,
+                                  lam=lam, eta=eta, a=1.0, x=0.0), q))
+    return draws
+
+
+def test_box_sweep_solves_every_draw():
+    for (params, q), want in zip(_box_draws(), _BOX_GQ):
         sol = solve_wq(params, q, VolterraGrid(n_cells=1024))
         assert gq_from_solution(sol, 0.0) == pytest.approx(want, abs=1e-9)
+
+
+def _far_below(alpha: float) -> ModelParams:
+    """The reference model with eta = 1 and its mean level 2 alpha: z(a) is
+    10.3, 23.6, 37.0 and 50.3 at alpha = 2, 4, 6 and 8."""
+    return dataclasses.replace(REF, alpha=alpha, eta=1.0)
+
+
+@pytest.mark.parametrize("params,q", [
+    pytest.param(params, q, id=f"box{i}")
+    for i, (params, q) in enumerate(_box_draws())] + [
+    pytest.param(_far_below(alpha), q, id=f"alpha={alpha}-q={q}")
+    for alpha in (2, 4, 6, 8) for q in (0.0, 0.05, 0.5)])
+def test_chi_meets_robin_on_its_own_scale(params, q):
+    # boundary_psi falls like exp(-z(a)^2 / 4), so only the sizes of chi's
+    # own two terms can scale the residual at large z(a)
+    basis = homogeneous_basis(params, q)
+    a = params.a
+    value, deriv = float(basis.chi_q(a)), basis.chi_prime(a)
+    scale = abs(0.5 * params.sigma ** 2 * deriv) \
+        + abs((params.alpha + params.beta * a) * value)
+    assert 0.0 < scale < math.inf
+    assert abs(robin_operator(params, value, deriv)) <= 1e-13 * scale
+
+
+def test_barrier_far_below_the_mean_level_solves():
+    # z(a) = 50.3 and log_ratio = 1278: the ratio of the basis would
+    # overflow in linear space
+    params = _far_below(8.0)
+    gs = [gq_from_solution(solve_wq(params, 0.05, VolterraGrid(n_cells=n)),
+                           0.0) for n in (1024, 4096)]
+    assert gs[0] == pytest.approx(gs[1], abs=1e-8)
+    cfg = SimConfig(horizon=60.0, seed=11, n_paths=20_000)
+    res = simulate.run_paths(params, cfg, q_list=(0.05,), workers=1)
+    comp = mc.estimate_gq_compensator(params, cfg, 0.05, res)
+    assert abs(comp.mean - gs[1]) <= 3.0 * comp.std_error
 
 
 class _DirectTable:

@@ -24,7 +24,7 @@ def test_public_names_are_pinned():
         "ConvergenceError", "CrossingRecord",
         "ExponentialJumps", "InconsistencyError", "Jump", "LatticeJumps",
         "Mode", "ModelParams", "NumericalError", "PiecewisePath",
-        "ResonanceError", "Segment", "SimConfig", "SimResult",
+        "Segment", "SimConfig", "SimResult",
         "StructuralError", "UnderSampleError",
         "UnsupportedRegimeError", "WeberContext", "announcing_sequence",
         "check_no_premature_contact", "classify_mode", "errors",

@@ -249,12 +249,23 @@ class TestEngine:
                 run_paths(REF, self.CFG, workers=workers)
 
     def test_workers_none_runs_serially(self, monkeypatch):
-        # the worker count is the caller's to set; run_paths reads no
-        # environment, so no pool may start here
-        monkeypatch.setenv("PASSAGELAB_WORKERS", "2")
+        # the worker count is the caller's to set, so no pool may start here
         monkeypatch.setattr(simulate, "_BLOCK", 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         assert run_paths(REF, dataclasses.replace(self.CFG, n_paths=16)).n == 16
+
+    def test_pool_is_no_larger_than_the_block_count(self, monkeypatch):
+        sizes = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate, "_BLOCK", 256)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        assert run_paths(REF, self.CFG, workers=8).n == 768
+        assert sizes == [3]
 
     def test_same_seed_reproduces(self):
         a = run_paths(REF, self.CFG, workers=1)
