@@ -33,12 +33,14 @@ far below the barrier; the solver's kernel sums scale them once per grid
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, ConvergenceError, StructuralError
+from .errors import (AccuracyError, ConvergenceError, StructuralError,
+                     UnsupportedRegimeError)
 from .quad import composite_gl, fd_derivative
 from .simulate import ModelParams
 from .weber import (
@@ -50,6 +52,7 @@ from .weber import (
 )
 
 _LOG_EPS = math.log(1e-12)
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 # Largest truncation_error solve_wq returns: above the coarsest grids in use
 # at the reference model (1.7e-7 at n_cells=64, q = 0.05; at most 3.3e-6 at
 # n_cells=16, q <= 0.5), below first cuts too shallow (1.3e-5 up to 0.19).
@@ -109,11 +112,18 @@ class HomogeneousBasis:
         return np.exp(self.log_psi(x))
 
     def chi_q(self, x):
-        return np.exp(self.log_chi(x))
+        """chi_q at x; UnsupportedRegimeError where it leaves double range."""
+        log_chi = self.log_chi(x)
+        with np.errstate(over="raise"):
+            try:
+                return np.exp(log_chi)
+            except FloatingPointError:
+                raise _out_of_range("chi_q", x, np.max(log_chi)) from None
 
     def chi_prime(self, x) -> float:
         """d chi_q / dx; its four terms are scaled by the largest, so it
-        overflows only where chi'(x) itself leaves double range."""
+        overflows only where chi'(x) itself leaves double range, and then
+        raises UnsupportedRegimeError."""
         ctx = self.ctx
         z = ctx.z(x)
         A = ctx.p_prime(x) + 0.5 * ctx.z1 * z
@@ -122,8 +132,21 @@ class HomogeneousBasis:
         logs = (l0m, self.log_ratio + l0p, l1m, self.log_ratio + l1p)
         top = max(logs)
         t0m, t0p, t1m, t1p = (math.exp(v - top) for v in logs)
-        return math.exp(ctx.p(x) + top) * (
-            A * (t0m + t0p) + ctx.z1 * (t1m - t1p))
+        try:
+            value = math.exp(ctx.p(x) + top) * (
+                A * (t0m + t0p) + ctx.z1 * (t1m - t1p))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise _out_of_range("chi_prime", x,
+                                self.log_chi_from(x, l0p, l0m))
+        return value
+
+
+def _out_of_range(what: str, x, log_chi) -> UnsupportedRegimeError:
+    return UnsupportedRegimeError(
+        f"{what} at x = {x!r} leaves double range: log chi = {log_chi:.6g}, "
+        f"above log(max float) = {_LOG_MAX_FLOAT:.6g}")
 
 
 def _psi_prime_from(ctx: WeberContext, x: float, log_d0: float,

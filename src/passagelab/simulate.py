@@ -229,9 +229,15 @@ def ou_exact_step(x, dt, noise, params: ModelParams):
     return np.asarray(x) * g + shift + sd * np.asarray(noise)
 
 
-def _bridge_log_prob(y0, y1, sigma: float, dt):
-    """log P(Brownian bridge from gap y0 to gap y1 over dt reaches 0), both < 0."""
-    return -2.0 * y0 * y1 / (sigma * sigma * dt)
+def _bridge_log_prob(y0, y1, sigma: float, dt, out=None):
+    """log P(Brownian bridge from gap y0 to gap y1 over dt reaches 0).
+
+    Both gaps are negative. The result is written into out when given.
+    """
+    out = np.multiply(-2.0, y0, out=out)
+    out *= y1
+    out /= sigma * sigma * dt
+    return out
 
 
 def _chord_factor(beta: float, L):
@@ -310,7 +316,11 @@ class _StepTables:
         self.disc = np.exp(-np.outer(q_arr, h * np.arange(self.width + 1)))
 
     def walk(self, x0: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
-        """Values after each of the steps z[:, j], row-wise, for any length."""
+        """Values after each of the steps z[:, j], row-wise, for any length.
+
+        out may be z itself. numpy buffers every strided operand, so with a
+        contiguous out only the broadcast table rows are buffered.
+        """
         out = np.empty_like(z) if out is None else out
         cur = x0
         if self.width == 1:
@@ -362,6 +372,30 @@ class SimResult:
         raise StructuralError(f"q = {q!r} was not simulated; have {self.q_list}")
 
 
+class _Scratch:
+    """Named work arrays that are reused from call to call.
+
+    Each name owns one flat buffer that grows by doubling and is never
+    shrunk. A call returns a C-contiguous view of the buffer's first
+    elements in the asked shape, laid out as a new array of that shape
+    would be, so writing into it with out= gives the same numbers. A name
+    holds one array at a time: asking for it again hands out the same
+    memory.
+    """
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...],
+                 dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            grown = 0 if buf is None else 2 * buf.size
+            buf = self._bufs[name] = np.empty(max(size, grown), dtype)
+        return buf[:size].reshape(shape)
+
+
 class _Group:
     """Lockstep engine for the paths start..start+count-1 of one block.
 
@@ -372,6 +406,18 @@ class _Group:
     are done, and refills the empty slots. Every operation on the group's
     arrays acts on each row alone, so a path's numbers do not depend on
     which slot it ran in or what ran beside it.
+
+    The per-chunk work arrays (the chunk's stride nodes, gaps, crossing
+    exponents and masks; the refined strides' normals, fine nodes and
+    bridge terms; the compensator's exponents) are views of one _Scratch
+    that lives as long as the group, and arrays whose uses do not overlap
+    share a name. Operands are kept contiguous where that is cheap, since
+    numpy buffers a strided or broadcast one. So a chunk allocates arrays
+    of one value per row, refined stride or bridge uniform, and buffers
+    for the few broadcast operands left. A view is filled by the same
+    operations in the same order as a new array would be, still row by
+    row, so reusing memory changes no number and the determinism contract
+    holds.
     """
 
     def __init__(self, params: ModelParams, config: SimConfig,
@@ -397,16 +443,16 @@ class _Group:
         self.coarse = _StepTables(params, self.H, q_arr[:0])
         # conditioning coefficients c_j of the fine nodes of a full stride
         self.cond = _bridge_law(params, self.H, h * np.arange(1, self.m + 1))[1]
-        # Rao-Blackwell rule of a full stride: at node i, the exponent
-        # rb_a[i] y0 + rb_b[i] y1 + rb_c[i] (see _rb_terms) of stride k of a
-        # chunk is weighted by rb_w[q, i * _CHUNK_STRIDES + k], discount
+        # Rao-Blackwell rule of a full stride: at node i, with rb_abc[i] =
+        # (a, b, c), the exponent a y0 + b y1 + c (see _rb_terms) of stride
+        # k of a chunk is weighted by rb_w[q, i * _CHUNK_STRIDES + k], discount
         # included. Strides of one fine step are all refined and take no rule
         self.gl = (0.5 * (1.0 + _GL_NODES), 0.5 * _GL_WEIGHTS)
         self.chord = _chord_factor(params.beta, self.H)
         if self.m > 1:
             s = self.H * self.gl[0]
             *abc, log_w = self._rb_terms(self.H, s, self.H * self.gl[1])
-            self.rb_a, self.rb_b, self.rb_c = (v[:, None] for v in abc)
+            self.rb_abc = np.stack(abc, axis=1).tolist()
             offsets = (s[:, None] + self.H * np.arange(_CHUNK_STRIDES)).ravel()
             self.rb_w = np.exp(np.repeat(log_w, _CHUNK_STRIDES)
                                - np.outer(q_arr, offsets))
@@ -437,6 +483,15 @@ class _Group:
         self.work = dict.fromkeys(_WORK, 0)
         self.z = np.zeros((slots, _CHUNK_STRIDES))
         self.z_rows = list(self.z)
+        self.buf = _Scratch()
+        # every row and column index of a chunk, and one past the last: a
+        # chunk refines at most _CHUNK_STRIDES strides of each slot
+        self.idx = np.arange(max(slots * _CHUNK_STRIDES, _STRIDE) + 1)
+        # before[c, j] is j < c: row c masks the first c columns, and row c
+        # of after the others
+        cols = max(_CHUNK_STRIDES, _STRIDE) + 1
+        self.before = np.tri(cols + 1, cols, -1, dtype=bool)
+        self.after = ~self.before
 
     def _rb_terms(self, L, s, w):
         """The Rao-Blackwell integrand of strides of length L at nodes s.
@@ -540,6 +595,7 @@ class _Group:
         p, h, a, H = self.p, self.cfg.step, self.p.a, self.H
         width = _CHUNK_STRIDES
         rows = live.shape[0]
+        buf = self.buf
         # strides this chunk; `ends` rows finish the epoch with the partial one
         left = self.n_str[live] - self.done[live]
         k = np.minimum(width, left)
@@ -550,32 +606,46 @@ class _Group:
         x0 = self.x[live]
         t_chunk = self.t0[live] + self.done[live] * H
         # xs[:, j] is the value at stride node j of the chunk; node 0 its start
-        xs = np.empty((rows, width + 1))
+        xs = buf("xs", (rows, width + 1))
         xs[:, 0] = x0
-        self.coarse.walk(x0, z, out=xs[:, 1:])
+        xs[:, 1:] = self.coarse.walk(x0, z, out=buf("walk", z.shape))
         er = np.flatnonzero(ends)
         ek = k[er]
         L_e = self.L_last[live[er]]
         xs[er, ek] = ou_exact_step(xs[er, ek - 1], L_e, z[er, ek - 1], p)
         # past the epoch: never near a
-        xs[np.arange(width + 1) > np.where(ends, k, width)[:, None]] = -np.inf
+        xs[self._mask(self.after, np.where(ends, k, width) + 1, width + 1)] \
+            = -np.inf
+        # the gaps at the start and at the end of each stride, contiguous
+        # like every array operand below
+        y0 = buf("y0", (rows, width))
+        y0[:] = xs[:, :-1]
+        y0 -= a
+        y1 = buf("y1", y0.shape)
+        y1[:] = xs[:, 1:]
+        y1 -= a
 
         # refine every stride up to the first that ends at or above a whose
         # crossing probability exceeds the bound (one ending at a has 1). A
         # stride of one fine step is its own fine walk, always refined
-        y = xs - a
+        log_p = buf("log_p", (rows, width))
         with np.errstate(invalid="ignore"):
-            log_p = _bridge_log_prob(y[:, :-1], y[:, 1:], p.sigma, H) \
-                * self.chord
-        log_p[er, ek - 1] = _bridge_log_prob(y[er, ek - 1], y[er, ek], p.sigma,
-                                             L_e) * _chord_factor(p.beta, L_e)
-        steps = np.full((rows, width), self.m)   # fine steps of each stride
+            _bridge_log_prob(y0, y1, p.sigma, H, out=log_p)
+            log_p *= self.chord
+        log_p[er, ek - 1] = _bridge_log_prob(
+            y0[er, ek - 1], y1[er, ek - 1], p.sigma, L_e) \
+            * _chord_factor(p.beta, L_e)
+        steps = buf("steps", log_p.shape, np.int64)  # fine steps per stride
+        steps.fill(self.m)
         steps[er, ek - 1] = self.n_last[live[er]]
-        above = y[:, 1:] >= 0.0
+        mask = buf("mask", log_p.shape, bool)
+        above = np.greater_equal(y1, 0.0, out=mask)
         first = above.argmax(axis=1)
-        hit = np.where(above[np.arange(rows), first], first, k - 1)
-        refine = ((log_p > math.log(_EPS_BRIDGE)) | (steps == 1)) \
-            & (np.arange(width) <= hit[:, None])
+        hit = np.where(above[self.idx[:rows], first], first, k - 1)
+        refine = np.greater(log_p, math.log(_EPS_BRIDGE),
+                            out=buf("refine", log_p.shape, bool))
+        refine |= np.equal(steps, 1, out=mask)
+        refine &= self._mask(self.before, hit + 1, width)
         rr, kk = np.nonzero(refine)       # by row, then in stride order
         fine = self._refine(live, xs, rr, kk, steps[rr, kk],
                             ends[rr] & (kk == k[rr] - 1))
@@ -591,8 +661,8 @@ class _Group:
         if self.q.shape[0]:
             stop = k.copy()               # strides before the crossing one
             stop[pr] = cs
-            self._compensate(live, y, k, ends, refine, stop, t_chunk, rr, kk,
-                             fine)
+            self._compensate(live, y0, y1, k, ends, refine, stop, t_chunk,
+                             rr, kk, fine)
         self._finish(live[pr], Mode.CREEP, tau, pre=a)
         # the others move to the chunk end and take the jump at epoch ends
         go = np.ones(rows, dtype=bool)
@@ -600,6 +670,15 @@ class _Group:
         self.x[live[go]] = xs[go, k[go]]
         self.done[live[go]] += k[go]
         self._jumps(live[go & ends])
+
+    def _mask(self, table, count, ncols, name="mask"):
+        """Row i is row count[i] of table (before or after), cut to ncols.
+
+        The mask is a scratch array; comparing a column index with
+        count[:, None] would make numpy buffer both broadcast operands.
+        """
+        return np.take(table[:, :ncols], count, axis=0, mode="clip",
+                       out=self.buf(name, (count.shape[0], ncols), bool))
 
     def _refine(self, live, xs, rr, kk, n_f, last):
         """Walk the refined strides on the fine grid and find the crossings.
@@ -610,41 +689,53 @@ class _Group:
         crossing step (cross, n_f if none) and the time from the start of
         that step to the crossing (piece).
         """
-        p, h, a, m = self.p, self.cfg.step, self.p.a, self.m
+        p, h, a, m, buf = self.p, self.cfg.step, self.p.a, self.m, self.buf
         n = rr.shape[0]
         slot = live[rr]
         # one run of normals per path, strides in order, each row left-aligned;
         # a stride of one step needs none
         walked = np.where(n_f > 1, n_f, 0)
-        z = np.zeros((n, m))
-        drawn = np.empty(walked.sum())
+        z = buf("z", (n, m))
+        z.fill(0.0)
+        drawn = buf("drawn", (int(walked.sum()),))
         self._draw(self.normal, slot, walked, drawn)
-        z[np.arange(m) < walked[:, None]] = drawn
-        F = np.empty((n, m + 1))
-        F[:, 0] = xs[rr, kk]
-        self.tab.walk(F[:, 0], z, out=F[:, 1:])
-        c = np.tile(self.cond, (n, 1))
+        z[self._mask(self.before, walked, m)] = drawn
         li = np.flatnonzero(last)
+        lj = n_f[li]
+        z_last = z[li, lj - 1]            # the partial steps' normals
+        F = buf("F", (n, m + 1))
+        F[:, 0] = xs[rr, kk]
+        # the walk overwrites z, which is contiguous, so that z[:, j] is node
+        # j + 1; F[:, 1:] takes a copy, which gives the partial steps' starts
+        F[:, 1:] = self.tab.walk(F[:, 0], z, out=z)
         if li.size:
-            lj = n_f[li]
-            F[li, lj] = ou_exact_step(F[li, lj - 1], self.dt_last[slot[li]],
-                                      z[li, lj - 1], p)
-            L = self.L_last[slot[li], None]
-            c[li] = _bridge_law(p, L, np.minimum(h * np.arange(1, m + 1), L))[1]
-        ar = np.arange(n)
+            z[li, lj - 1] = ou_exact_step(F[li, lj - 1],
+                                          self.dt_last[slot[li]], z_last, p)
+        # X_j + c_j (end - X_m): the full stride's c_j on every row, then the
+        # partial strides' own; F[:, 1:] takes the final nodes
+        ar = self.idx[:n]
         end = xs[rr, kk + 1]
-        F[:, 1:] += c * (end - F[ar, n_f])[:, None]
-        F[ar, n_f] = end
-        F[np.arange(m + 1) > n_f[:, None]] = -np.inf
+        gap = (end - z[ar, n_f - 1])[:, None]
+        nodes = buf("nodes", z.shape)
+        nodes[:] = self.cond
+        nodes *= gap
+        if li.size:
+            L = self.L_last[slot[li], None]
+            c_last = _bridge_law(p, L, np.minimum(h * self.idx[1:m + 1], L))[1]
+            nodes[li] = c_last * gap[li]
+        nodes += z
+        nodes[ar, n_f - 1] = end
+        nodes[self._mask(self.after, n_f, m)] = -np.inf
+        F[:, 1:] = nodes
 
         # each stride's first fine step ending at or above a, else n_f
-        above = F[:, 1:] >= a
+        above = np.greater_equal(nodes, a, out=buf("mask", z.shape, bool))
         first = above.argmax(axis=1)
         cross = np.where(above[ar, first], first, n_f)
         bridged = np.zeros(n, dtype=bool)
         if self.cfg.bridge_correction:
-            self.work["uniforms"] += self._bridge(slot, F, n_f, last, cross,
-                                                  bridged)
+            self.work["uniforms"] += self._bridge(slot, F, nodes, n_f, last,
+                                                  cross, bridged)
         cc = np.minimum(cross, n_f - 1)
         dt_c = np.where(last & (cc == n_f - 1), self.dt_last[slot], h)
         x_lo, x_hi = F[ar, cc], F[ar, cc + 1]
@@ -653,32 +744,45 @@ class _Group:
         theta = np.where(bridged, 0.5, np.clip(theta, 0.0, 1.0))
         return F, n_f, last, cross, theta * dt_c
 
-    def _bridge(self, slot, F, n_f, last, cross, bridged) -> int:
+    def _bridge(self, slot, F, nodes, n_f, last, cross, bridged) -> int:
         """Crossings inside fine steps with both ends below the barrier.
 
         Draws one uniform per step before `cross` whose bridge probability
         is at least exp(_LOG_TINY), and lowers `cross` to the first step
         where the uniform falls below it. Row i belongs to the path in
-        `slot[i]`. Returns the number of uniforms drawn.
+        `slot[i]`. nodes is F[:, 1:] in the scratch array of that name,
+        which this call overwrites, as it does z's and drawn's. Returns the
+        number of uniforms drawn.
         """
-        sigma, h, m = self.p.sigma, self.cfg.step, self.m
-        y = F - self.p.a
-        with np.errstate(invalid="ignore"):
-            log_p = _bridge_log_prob(y[:, :-1], y[:, 1:], sigma, h)
+        sigma, h, m, buf = self.p.sigma, self.cfg.step, self.m, self.buf
+        # the gaps at the start and at the end of each fine step
+        y0 = buf("z", nodes.shape)
+        y0[:] = F[:, :-1]
+        y0 -= self.p.a
+        y1 = nodes
+        y1 -= self.p.a
         li = np.flatnonzero(last)
         lj = n_f[li] - 1
-        log_p[li, lj] = _bridge_log_prob(y[li, lj], y[li, lj + 1], sigma,
-                                         self.dt_last[slot[li]])
-        at = np.flatnonzero((log_p >= _LOG_TINY)
-                            & (np.arange(m) < cross[:, None]))
+        log_last = _bridge_log_prob(y0[li, lj], y1[li, lj], sigma,
+                                    self.dt_last[slot[li]])
+        with np.errstate(invalid="ignore"):
+            log_p = _bridge_log_prob(y0, y1, sigma, h, out=y0)
+        log_p[li, lj] = log_last
+        draws = np.greater_equal(log_p, _LOG_TINY,
+                                 out=buf("mask", log_p.shape, bool))
+        draws &= self._mask(self.before, cross, m, "mask_b")
+        at = np.flatnonzero(draws)
         if at.size == 0:
             return 0
-        rr, cc = at // m, at % m
-        # rows of one path are adjacent, so its uniforms are one run of u
-        u = np.empty(at.shape[0])
-        self._draw(self.uniform, slot[rr], None, u)
-        below = np.flatnonzero(u < np.exp(log_p.ravel()[at]))
-        first = below[np.diff(rr[below], prepend=-1) > 0]
+        # rows of one path are adjacent, so its uniforms are one run of u;
+        # row i draws for the entries of at in [i m, (i + 1) m)
+        u = buf("drawn", at.shape)
+        per_row = np.diff(np.searchsorted(at, m * self.idx[:F.shape[0] + 1]))
+        self._draw(self.uniform, slot, per_row, u)
+        p_at = np.take(log_p.ravel(), at, out=buf("nodes", at.shape),
+                       mode="clip")
+        rr, cc = np.divmod(at[u < np.exp(p_at, out=p_at)], m)
+        first = np.diff(rr, prepend=-1) > 0
         cross[rr[first]] = cc[first]
         bridged[rr[first]] = True
         return u.shape[0]
@@ -696,8 +800,8 @@ class _Group:
             method[s](out=out[pos:pos + n])
             pos += n
 
-    def _compensate(self, live, y, k, ends, refine, stop, t_chunk, rr, kk,
-                    fine):
+    def _compensate(self, live, y0, y1, k, ends, refine, stop, t_chunk, rr,
+                    kk, fine):
         """Add each row's integral of exp(-q s) lam exp(-eta (a - X_s)).
 
         Strides before `stop` count whole, and the crossing stride up to
@@ -706,8 +810,8 @@ class _Group:
         fine nodes. Each row is summed on its own in a fixed order, so a
         path's sum does not depend on the rows beside it.
         """
-        q, H = self.q, self.H
-        rows, width = y.shape[0], y.shape[1] - 1
+        q, H, buf = self.q, self.H, self.buf
+        rows, width = y0.shape
         # full unrefined strides: one einsum per row over the full width. The
         # log of the lognormal mean is clipped to [-_CLIP_EXP, _CLIP_EXP], so
         # that every exp stays in the normal range and the strides left out
@@ -716,49 +820,67 @@ class _Group:
         # and it changes the integrand by less than lam exp(-_CLIP_EXP)
         acc = np.zeros((rows, q.shape[0]))
         if self.m > 1:
-            whole = (np.arange(width) < np.minimum(stop, k - ends)[:, None]) \
-                & ~refine
-            rb = y[:, None, :-1] * self.rb_a
-            rb += y[:, None, 1:] * self.rb_b
-            rb += self.rb_c
-            np.clip(rb, -_CLIP_EXP, _CLIP_EXP, out=rb)
-            np.exp(rb, out=rb)
-            rb *= whole[:, None, :]
+            # strides left out: past stop or refined; their exp is positive
+            # and finite, so zeroing it is multiplying it by 0
+            skip = self._mask(self.after, np.minimum(stop, k - ends), width)
+            skip |= refine
+            # node by node, so that no operand is strided or broadcast
+            rb = buf("rb", (rows, len(self.rb_abc), width))
+            node, term = buf("node", refine.shape), buf("term", refine.shape)
+            for i, (eta_a, eta_b, c) in enumerate(self.rb_abc):
+                np.multiply(y0, eta_a, out=node)
+                node += np.multiply(y1, eta_b, out=term)
+                node += c
+                np.clip(node, -_CLIP_EXP, _CLIP_EXP, out=node)
+                np.exp(node, out=node)
+                node[skip] = 0.0
+                rb[:, i] = node
             acc += np.einsum("lj,qj->lq", rb.reshape(rows, -1), self.rb_w)
         # an unrefined partial stride onto the epoch, by the same rule
         er = np.flatnonzero(ends & (stop == k))
         er = er[~refine[er, k[er] - 1]]
         if er.size:
-            L = self.L_last[live[er], None]
-            s = L * self.gl[0]
-            eta_a, eta_b, c, log_w = self._rb_terms(L, s, L * self.gl[1])
-            node = np.exp(np.clip(eta_a * y[er, k[er] - 1, None]
-                                  + eta_b * y[er, k[er], None] + c,
-                                  -_CLIP_EXP, _CLIP_EXP) + log_w)
-            t = ((k[er] - 1) * H)[:, None] + s
-            terms = node[:, :, None] * np.exp(-(t[:, :, None] * q))
-            part = acc[er]
-            for i in range(s.shape[1]):
-                part += terms[:, i]
-            acc[er] = part
+            self._partial_strides(acc, live, y0, y1, k, er)
         # refined strides up to the crossing one, in stride order
         keep = kk <= stop[rr]
-        part = self._trapezoid(live[rr[keep]], *(f[keep] for f in fine))
+        part = self._trapezoid(live[rr[keep]], keep, *fine)
         np.add.at(acc, rr[keep], part * np.exp(-np.outer(kk[keep] * H, q)))
         self.comp[live] += np.exp(-np.outer(t_chunk, q)) * acc
 
-    def _trapezoid(self, slot, F, k, ends, cross, piece):
+    def _partial_strides(self, acc, live, y0, y1, k, er):
+        """Add the Rao-Blackwell integrals of the unrefined partial strides
+        that end chunk rows er to acc; its temporaries end with the call."""
+        q = self.q
+        L = self.L_last[live[er], None]
+        s = L * self.gl[0]
+        eta_a, eta_b, c, log_w = self._rb_terms(L, s, L * self.gl[1])
+        node = np.exp(np.clip(eta_a * y0[er, k[er] - 1, None]
+                              + eta_b * y1[er, k[er] - 1, None] + c,
+                              -_CLIP_EXP, _CLIP_EXP) + log_w)
+        t = ((k[er] - 1) * self.H)[:, None] + s
+        part = acc[er]
+        for i in range(s.shape[1]):
+            part += node[:, i, None] * np.exp(-(t[:, i, None] * q))
+        acc[er] = part
+
+    def _trapezoid(self, slot, keep, F, k, ends, cross, piece):
         """Trapezoid of exp(-q s) lam exp(-eta (a - X_s)) over fine nodes.
 
-        s runs from each row's node 0. The trapezoid runs up to the
+        Sums the rows of F (and of k, ends, cross and piece) where keep
+        holds. s runs from each row's node 0. The trapezoid runs up to the
         crossing step or the partial step; the crossing step adds its
         piece onto (tau, lam), the partial step its piece onto the epoch.
         """
         p, h, q = self.p, self.cfg.step, self.q
+        k, ends, cross, piece = (v[keep] for v in (k, ends, cross, piece))
+        n = slot.shape[0]
         disc = self.tab.disc[:, :F.shape[1]]
-        ar = np.arange(F.shape[0])
+        ar = self.idx[:n]
         # eta (X - a) clipped to [-_CLIP_EXP, 0], the floor of _compensate
-        phi = np.clip(F - p.a, -_CLIP_EXP / p.eta, 0.0)
+        phi = np.take(F, np.flatnonzero(keep), axis=0, mode="clip",
+                      out=self.buf("phi", (n, F.shape[1])))
+        phi -= p.a
+        np.clip(phi, -_CLIP_EXP / p.eta, 0.0, out=phi)
         phi *= p.eta
         phi += math.log(p.lam)
         np.exp(phi, out=phi)
@@ -766,7 +888,7 @@ class _Group:
         ek = k[er]
         tail = phi[er, ek]                  # the value at the epoch
         last = np.minimum(cross, k - ends)  # last full-step node
-        phi[np.arange(F.shape[1]) > last[:, None]] = 0.0
+        phi[self._mask(self.after, last + 1, phi.shape[1])] = 0.0
         acc = np.einsum("lj,qj->lq", phi, disc)
         acc -= 0.5 * (phi[:, 0, None] * disc[:, 0]
                       + phi[ar, last, None] * disc[:, last].T)

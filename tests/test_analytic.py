@@ -29,7 +29,8 @@ from passagelab.analytic import (
     solve_wq,
 )
 from passagelab.errors import (AccuracyError, ConvergenceError,
-                               NumericalError, StructuralError)
+                               NumericalError, StructuralError,
+                               UnsupportedRegimeError)
 from passagelab.simulate import ModelParams, SimConfig
 from passagelab.weber import (
     TABLE_RTOL,
@@ -704,6 +705,28 @@ def test_chi_meets_robin_on_its_own_scale(params, q):
         + abs((params.alpha + params.beta * a) * value)
     assert 0.0 < scale < math.inf
     assert abs(robin_operator(params, value, deriv)) <= 1e-13 * scale
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [12.0, 16.0])
+def test_chi_past_double_range_is_an_unsupported_regime(alpha):
+    # z(a) = 77 at alpha = 12, where log chi(a) = 1360
+    params = _far_below(alpha)
+    basis = homogeneous_basis(params, 0.05)
+    for value in (basis.chi_q, basis.chi_prime):
+        with pytest.raises(UnsupportedRegimeError, match="log chi = "):
+            value(params.a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_barrier_where_chi_overflows_solves():
+    # the solver takes chi in log space and scales it, so alpha = 12,
+    # where chi(a) = e^1360, still solves
+    gs = [gq_from_solution(solve_wq(_far_below(12.0), 0.05,
+                                    VolterraGrid(n_cells=n)), 0.0)
+          for n in (256, 1024)]
+    assert gs[0] == pytest.approx(gs[1], abs=1e-6)
+    assert gs[1] == pytest.approx(0.0517759, abs=1e-7)
 
 
 def test_barrier_far_below_the_mean_level_solves():

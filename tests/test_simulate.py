@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,31 @@ class TestEngine:
         assert run_paths(REF, dataclasses.replace(self.CFG, n_paths=4)
                          ).stream_version == STREAM_VERSION == 3
 
+    def test_chunks_reuse_their_work_arrays(self, monkeypatch):
+        # a chunk's transient memory is its traced peak less the larger of
+        # its start and end, so arrays that persist in the group's scratch
+        # do not count; allocating every work array anew in each chunk gave
+        # a median of 414 KiB on this batch
+        transients = []
+        chunk = simulate._Group._chunk
+
+        def traced(group, live):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            chunk(group, live)
+            end, peak = tracemalloc.get_traced_memory()
+            transients.append(peak - max(start, end))
+
+        monkeypatch.setattr(simulate._Group, "_chunk", traced)
+        cfg = SimConfig(horizon=50.0, step=1e-3, seed=5, n_paths=500)
+        tracemalloc.start()
+        try:
+            run_paths(REF, cfg, q_list=(0.0, 0.01, 0.05, 0.1), workers=1)
+        finally:
+            tracemalloc.stop()
+        assert len(transients) > 10
+        assert np.median(transients) <= 128 * 1024
+
 
 _FIELDS = ("modes", "taus", "overshoots", "pre_jump_levels", "comp")
 
@@ -354,7 +380,9 @@ class TestReplay:
             assert np.array_equal(getattr(short, name),
                                   getattr(batch, name)[:300], equal_nan=True)
 
-    @pytest.mark.parametrize("width", [1, 7, 128])
+    # width 3 grows the group's scratch arrays mid-batch; 256 is wider than
+    # the default, so reused rows are exercised in both directions
+    @pytest.mark.parametrize("width", [1, 3, 7, 128, 256])
     def test_group_width_does_not_change_results(self, batch, width,
                                                  monkeypatch):
         monkeypatch.setattr(simulate, "_GROUP_WIDTH", width)
